@@ -36,10 +36,11 @@
 //!   cache is a short linear-scanned list (committed groups rarely negate
 //!   more than a handful of leaves).
 //! * **The `parallel` feature (a workspace default) fans every
-//!   data-parallel phase over `std::thread::scope` workers**: the per-cell
-//!   match scan (`collect_matches`) and per-run group scoring
-//!   (`evaluate_candidates`) merge private buffers in chunk order, the
-//!   record sort runs as sorted chunks + deterministic k-way merge
+//!   data-parallel phase over `std::thread::scope` workers** whenever
+//!   `sfq_netlist::par::width` grants the phase at least its break-even
+//!   width: the per-cell match scan (`collect_matches`) and per-run group
+//!   scoring (`evaluate_candidates`) merge private buffers in chunk order,
+//!   the record sort runs as sorted chunks + deterministic k-way merge
 //!   (`sfq_netlist::par::sort_unstable_by_key`, valid because `(key,
 //!   root)` is duplicate-free), and the run-boundary scan chunks at
 //!   run-aligned boundaries (`run_boundaries`). Every merge is input- or
@@ -135,6 +136,28 @@ fn unpack_group_key(key: u128) -> ([Signal; 3], u8) {
     (leaves, mask)
 }
 
+/// Cells below which match collection runs inline: a chunk must amortize
+/// its worker's spawn.
+#[cfg(feature = "parallel")]
+const CELL_GRAIN: usize = 1024;
+/// Sorted match records below which the run scan runs inline.
+#[cfg(feature = "parallel")]
+const RECORD_GRAIN: usize = 4096;
+/// `(leaves, mask)` runs below which group scoring runs inline.
+#[cfg(feature = "parallel")]
+const RUN_GRAIN: usize = 256;
+/// Smallest worker count at which detect's chunked fan-outs may beat their
+/// sequential bodies. Each chunk fills a private buffer that is then
+/// concatenated, and the sort's k-way merge stays sequential, so two
+/// workers lose: forced to 2, detect's own passes (collection, sort, run
+/// scan, scoring; cuts excluded) took 1.1–2.4× the wall time of one worker
+/// on the paper-scale Table I designs from c6288 to log2 (2-vCPU x86 host,
+/// best of 7 and 9 in two sessions), while margin trials measured in the
+/// same minutes ran at 0.64–0.79× — the host did deliver the second core.
+/// Three is the smallest width not measured to lose.
+#[cfg(feature = "parallel")]
+const CHUNKED_BREAK_EVEN: usize = 3;
+
 /// One Boolean match found during collection: a root realizable on `port`
 /// when the group `(leaves, mask)` is committed. 32 bytes (the `u128` key
 /// is 16-byte aligned) — the group sort moves packed keys, not leaf
@@ -157,9 +180,8 @@ fn collect_matches(net: &Network, cuts: &sfq_netlist::CutSet, db: &T1MatchDb) ->
     let n = net.num_cells() as u32;
     #[cfg(feature = "parallel")]
     {
-        let workers = sfq_netlist::par::workers();
-        // A worker must amortize its spawn; small nets run inline.
-        if workers > 1 && n >= 1024 {
+        let workers = sfq_netlist::par::width(n as usize, CELL_GRAIN, CHUNKED_BREAK_EVEN);
+        if workers > 1 {
             let chunk = (n as usize).div_ceil(workers) as u32;
             let bounds: Vec<(u32, u32)> = (0..workers as u32)
                 .map(|w| ((w * chunk).min(n), ((w + 1) * chunk).min(n)))
@@ -333,9 +355,9 @@ pub fn detect_t1_with_threshold(
 fn run_boundaries(recs: &[Rec]) -> Vec<(u32, u32)> {
     #[cfg(feature = "parallel")]
     {
-        let workers = sfq_netlist::par::workers();
         let n = recs.len();
-        if workers > 1 && n >= 4096 {
+        let workers = sfq_netlist::par::width(n, RECORD_GRAIN, CHUNKED_BREAK_EVEN);
+        if workers > 1 {
             let chunk = n.div_ceil(workers);
             let mut bounds: Vec<usize> = vec![0];
             let mut pos = chunk;
@@ -407,8 +429,8 @@ fn evaluate_candidates(
 ) -> Vec<T1Group> {
     #[cfg(feature = "parallel")]
     {
-        let workers = sfq_netlist::par::workers();
-        if workers > 1 && runs.len() >= 256 {
+        let workers = sfq_netlist::par::width(runs.len(), RUN_GRAIN, CHUNKED_BREAK_EVEN);
+        if workers > 1 {
             // Budgets are thread-local (worker ticks are no-ops), so charge
             // the whole scoring pass on the coordinator — the same total the
             // sequential loop accumulates one run at a time.

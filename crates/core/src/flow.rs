@@ -38,14 +38,13 @@ pub struct FlowConfig {
     /// (0 disables the check).
     pub equivalence_words: usize,
     /// Phase-assignment descent restarts (heuristic paths only). The
-    /// default is `sfq_netlist::par::workers()` — idle cores become extra
-    /// deterministically perturbed restarts merged by `(cost, index)`, so
-    /// the result is never worse than (and independent of the worker count
-    /// relative to) `restarts: 1`, which remains reachable via config —
-    /// see [`TimingEngine::optimize`]. Restart 0 is the unperturbed plain
-    /// descent, so any restart count ≥ 1 dominates the single-descent cost.
-    /// On sequential builds `workers()` is 1 and this stays the single
-    /// ASAP descent.
+    /// default is `1`: the single ASAP descent. Extra restarts descend from
+    /// deterministically perturbed ASAP seeds and are merged by `(cost,
+    /// index)` (see [`TimingEngine::optimize`]); restart 0 is the plain
+    /// descent, so any count ≥ 1 is never worse than `restarts: 1`, and the
+    /// result is the same for every worker count. They are opt-in because
+    /// on the paper's 16 Table I flows restart 0 always won, so by default
+    /// extra restarts only cost run time.
     pub restarts: usize,
 }
 
@@ -60,7 +59,7 @@ impl FlowConfig {
             cut_config: CutConfig::default(),
             gain_threshold: 0,
             equivalence_words: 4,
-            restarts: sfq_netlist::par::workers(),
+            restarts: 1,
         }
     }
 

@@ -657,8 +657,8 @@ pub fn assign_phases(
 /// the plain ASAP descent (so `restarts == 1` is exactly [`assign_phases`]);
 /// restarts `1..` descend from deterministically perturbed ASAP seeds, and
 /// the smallest `(DFF cost, restart index)` wins. Under `--features
-/// parallel` the extra restarts fan over [`sfq_netlist::par::workers`] with
-/// a bit-identical merge, so the result never depends on the worker count.
+/// parallel` the extra restarts fan out at the width
+/// [`sfq_netlist::par::width`] grants, with a bit-identical merge, so the result never depends on the worker count.
 /// Restarts apply to the heuristic paths; the exact MILP paths ignore them
 /// (their warm start stays the single-descent incumbent).
 ///

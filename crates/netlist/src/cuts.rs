@@ -388,20 +388,41 @@ impl Candidate {
 pub fn enumerate_cuts(net: &Network, config: &CutConfig) -> CutSet {
     #[cfg(feature = "parallel")]
     {
-        let workers = crate::par::workers();
-        // A fan-out must amortize its thread spawns and scheduler state;
-        // small networks run the plain loop.
-        if workers > 1 && net.num_cells() >= 1024 {
+        let workers = frontier_width(net.num_cells());
+        if workers > 1 {
             return enumerate_cuts_frontier(net, config, workers);
         }
     }
     enumerate_cuts_sequential(net, config)
 }
 
+/// Smallest network (cells) whose frontier amortizes its thread spawns and
+/// scheduler state; smaller networks run the plain loop.
+#[cfg(feature = "parallel")]
+const FRONTIER_GRAIN: usize = 1024;
+
+/// Smallest worker count at which the work-stealing frontier beats
+/// [`enumerate_cuts_sequential`]. Its per-node countdowns, shared ready
+/// queue and per-node published buffers cost more than the cut work
+/// itself: at 2 workers the frontier takes 2.2–2.9× the CPU time of the
+/// sequential loop on the paper-scale Table I designs from c6288 to log2
+/// (best of 5, 2-vCPU x86 host), so even two free cores finish later than
+/// one; spread over three, the same CPU time would beat it.
+#[cfg(feature = "parallel")]
+const FRONTIER_BREAK_EVEN: usize = 3;
+
+/// Width [`enumerate_cuts`] gives the frontier for a `cells`-cell network
+/// (`1` = the sequential loop).
+#[cfg(feature = "parallel")]
+pub(crate) fn frontier_width(cells: usize) -> usize {
+    crate::par::width(cells, FRONTIER_GRAIN, FRONTIER_BREAK_EVEN)
+}
+
 /// The sequential cut enumeration — the executable specification of the
 /// feature-gated parallel driver. [`enumerate_cuts`] dispatches here unless
-/// the `parallel` feature is on *and* the host has more than one core; the
-/// differential tests assert per-node equality of both paths' cut sets.
+/// the `parallel` feature is on *and* [`crate::par::width`] grants the
+/// frontier at least its break-even width; the differential tests assert
+/// per-node equality of both paths' cut sets.
 ///
 /// # Panics
 /// Panics if the network is cyclic or `config.max_leaves > 6`.
@@ -486,7 +507,7 @@ impl Drop for FrontierAbort<'_> {
 /// readiness is per-node, not per-level.
 ///
 /// Determinism: a node's cuts depend only on its fanins' stored cut sets
-/// and [`compute_node_cuts`] is shared with the sequential path, so every
+/// and `compute_node_cuts` is shared with the sequential path, so every
 /// node's cut set is **bit-identical** to [`enumerate_cuts_sequential`]'s
 /// for any worker count or schedule. The final assembly writes the flat
 /// table in ascending cell-index order, so even the CSR bytes are

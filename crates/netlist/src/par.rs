@@ -1,15 +1,18 @@
-//! Worker-count policy for the feature-gated in-netlist parallelism.
+//! Worker-count policy for the in-flow parallelism.
 //!
 //! The `parallel` cargo feature fans cut enumeration (and, one crate up,
-//! T1 detection's collection/scoring passes) over `std::thread::scope`
-//! workers. This module owns the one policy decision those fan-outs share:
-//! how many workers to use. Everything else — level scheduling, chunking,
+//! T1 detection's collection/scoring passes, the phase-descent restarts and
+//! the Monte-Carlo margin trials) over `std::thread::scope` workers. This
+//! module owns the two policy decisions those fan-outs share: how many
+//! workers the host delivers ([`workers`]) and whether one site should use
+//! them ([`width`]). Everything else — level scheduling, chunking,
 //! deterministic merges — lives next to the loops it parallelizes.
 //!
 //! Without the feature, [`workers`] is constantly `1`, and every fan-out
-//! site falls through to its sequential body; with the feature on a
-//! single-core host the same happens at runtime, so the parallel build is
-//! never slower than the sequential one.
+//! site falls through to its sequential body. With it, the default worker
+//! count is the parallelism a one-time spin-loop probe measures, not the
+//! number of CPUs the host reports: a 2-vCPU guest that delivers about one
+//! core resolves to one worker, so its fan-outs stay sequential.
 
 use crate::sync;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,49 +70,240 @@ pub fn parse_workers(value: &str) -> Result<usize, String> {
     }
 }
 
-/// Number of scoped worker threads the in-netlist fan-outs may use.
+/// Number of scoped worker threads the in-flow fan-outs may use.
 ///
-/// With the `parallel` feature: the host's available parallelism
-/// (`std::thread::available_parallelism()`, which respects container CPU
-/// quotas and affinity masks), overridable by [`force_workers`] or the
-/// `SFQ_WORKERS` environment variable (read once, at first use; explicit
-/// overrides may exceed the host's core count up to [`MAX_WORKERS`], which
-/// is how single-core CI exercises the parallel merges). Without the
-/// feature: `1`.
+/// With the `parallel` feature, in order of precedence: a [`force_workers`]
+/// override, then the `SFQ_WORKERS` environment variable (read once, at
+/// first use), then the host's delivered parallelism
+/// ([`delivered_parallelism`], probed once per process). Explicit overrides
+/// may exceed the host's core count up to [`MAX_WORKERS`], which is how
+/// single-core CI exercises the parallel merges, and they skip the probe.
+/// Without the feature: `1`.
+///
+/// Fan-out sites should ask [`width`] rather than call this directly, so
+/// that small inputs never pay for the probe.
 pub fn workers() -> usize {
+    workers_reaching(2)
+}
+
+/// [`workers`] for a caller that can only use `at_least` workers or more:
+/// without an override, a host reporting fewer CPUs than that answers 1
+/// without running the probe, whose answer could not reach `at_least`
+/// either. The probe starts threads, so this keeps a process that never
+/// fans out single-threaded.
+fn workers_reaching(at_least: usize) -> usize {
     #[cfg(feature = "parallel")]
     {
-        let forced = FORCED.load(Ordering::SeqCst);
-        if forced != 0 {
-            return forced.clamp(1, MAX_WORKERS);
-        }
-        static FROM_ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-        if let Some(w) = *FROM_ENV.get_or_init(|| match std::env::var("SFQ_WORKERS") {
-            Err(_) => None,
-            Ok(v) => match parse_workers(&v) {
-                Ok(w) => Some(w),
-                Err(reason) => {
-                    // One-time by construction: the OnceLock initializer
-                    // runs exactly once per process.
-                    eprintln!(
-                        "warning: ignoring SFQ_WORKERS={v:?}: {reason}; \
-                         using the host's available parallelism"
-                    );
-                    None
-                }
-            },
-        }) {
-            return w;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        resolve_workers(FORCED.load(Ordering::SeqCst), env_workers(), || {
+            if available_cpus() < at_least {
+                1
+            } else {
+                delivered_parallelism()
+            }
+        })
     }
     #[cfg(not(feature = "parallel"))]
     {
+        let _ = at_least;
         1
     }
 }
+
+/// `std::thread::available_parallelism()`, read once: it respects CPU
+/// quotas and affinity masks, and on Linux reads cgroup files to do so.
+fn available_cpus() -> usize {
+    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The precedence rule behind [`workers`]: a non-zero `forced` override,
+/// else the `env` override, else `probe()`. The probe runs only when
+/// neither override is set.
+#[cfg(any(feature = "parallel", test))]
+pub(crate) fn resolve_workers(
+    forced: usize,
+    env: Option<usize>,
+    probe: impl FnOnce() -> usize,
+) -> usize {
+    if forced != 0 {
+        return forced.clamp(1, MAX_WORKERS);
+    }
+    env.unwrap_or_else(probe)
+}
+
+/// The validated `SFQ_WORKERS` override, read once per process.
+#[cfg(feature = "parallel")]
+fn env_workers() -> Option<usize> {
+    static FROM_ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
+    *FROM_ENV.get_or_init(|| match std::env::var("SFQ_WORKERS") {
+        Err(_) => None,
+        Ok(v) => match parse_workers(&v) {
+            Ok(w) => Some(w),
+            Err(reason) => {
+                // One-time by construction: the OnceLock initializer runs
+                // exactly once per process.
+                eprintln!(
+                    "warning: ignoring SFQ_WORKERS={v:?}: {reason}; \
+                     using the host's delivered parallelism"
+                );
+                None
+            }
+        },
+    })
+}
+
+/// The width a fan-out site may use for `items` units of work: `1` (run
+/// the sequential body) when `items` is below the site's `grain` or the
+/// host delivers fewer than `break_even` workers, else [`workers`] capped
+/// at `items`.
+///
+/// `grain` is the smallest input that amortizes the site's thread spawns;
+/// `break_even` is the smallest worker count at which the site's parallel
+/// driver beats its sequential body, measured per site (restarts and
+/// margin trials break even at 2; the cut frontier, detect's passes and
+/// the chunked sort need 3). The [`delivered_parallelism`] probe runs only
+/// when neither check can settle the answer: never for inputs below the
+/// grain, and never for a break-even width above the host's CPU count.
+/// Every site's output is bit-identical at every width, so this decides
+/// cost only, never results.
+pub fn width(items: usize, grain: usize, break_even: usize) -> usize {
+    if items < grain.max(2) {
+        return 1;
+    }
+    let break_even = break_even.max(2);
+    let w = workers_reaching(break_even).min(items);
+    if w < break_even {
+        1
+    } else {
+        w
+    }
+}
+
+/// The parallelism this host delivers to the process, capped at
+/// `std::thread::available_parallelism()`: measured once by a spin-loop
+/// probe (see `probe_parallelism` in the source; ~5–10 ms, skipped on
+/// one-CPU hosts) and cached for the rest of the process.
+pub fn delivered_parallelism() -> usize {
+    static PROBED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *PROBED.get_or_init(probe_parallelism)
+}
+
+/// Measures how many of the host's reported CPUs deliver a full core.
+///
+/// `available_parallelism()` counts the CPUs the process may run on, not
+/// how much of them it gets: a 2-vCPU guest on a busy machine reports 2
+/// and delivers about 1, and there every fan-out costs CPU time (spawns,
+/// time-slicing, cache refills) without a wall-time gain. The probe runs
+/// four trials, each one spin loop alone and then `k = min(nproc, 8)`
+/// identical loops at once: `k` free cores finish `k` loops in the time of
+/// one. The single-loop arm keeps its best trial (the core's undisturbed
+/// speed); the concurrent arm sums its trials, so one lucky millisecond in
+/// which a busy host's other CPUs happened to be idle cannot stand for the
+/// whole run. The throughput ratio, allowing 5 % slack for timer and
+/// start-up jitter, is rounded down; when all `k` loops ran in parallel the
+/// reported CPU count stands. With `nproc == 1` nothing is measured.
+///
+/// Cost: `4 × (1 + k / delivered)` loops of ~0.5 ms — about 5 ms on a
+/// 2-vCPU host, about 10 ms when 8 reported CPUs deliver two. A host that
+/// stalls the loops (heavy steal time) stops the probe after the trial that
+/// crosses [`PROBE_BUDGET`]; the trials so far give the same ratio.
+pub(crate) fn probe_parallelism() -> usize {
+    use std::time::{Duration, Instant};
+    let nproc = available_cpus();
+    if nproc == 1 {
+        return 1;
+    }
+    let k = nproc.min(PROBE_LOOPS);
+    let begin = Instant::now();
+    let mut solo = Duration::MAX;
+    let mut spans = Duration::ZERO;
+    let mut trials = 0;
+    while trials < PROBE_TRIALS && (trials == 0 || begin.elapsed() < PROBE_BUDGET) {
+        let t = Instant::now();
+        spin(PROBE_ITERS);
+        solo = solo.min(t.elapsed());
+        spans += concurrent_span(k);
+        trials += 1;
+    }
+    let work = (k * trials) as f64 * solo.as_secs_f64();
+    let ratio = work / spans.as_secs_f64().max(1e-9);
+    let delivered = ((ratio * (1.0 + PROBE_SLACK)) as usize).clamp(1, k);
+    if delivered == k {
+        nproc
+    } else {
+        delivered
+    }
+}
+
+/// Spin loops the probe runs at once at most; beyond this the reported
+/// CPU count is trusted once all of them ran in parallel.
+const PROBE_LOOPS: usize = 8;
+/// Trials of each probe arm.
+const PROBE_TRIALS: usize = 4;
+/// Wall time after which the probe starts no further trial.
+const PROBE_BUDGET: std::time::Duration = std::time::Duration::from_millis(10);
+/// Iterations of one probe loop: ~0.5 ms of dependent xorshift steps at
+/// 1–3 ns each — long against thread start-up (tens of µs), short enough
+/// to keep the whole probe near 10 ms.
+const PROBE_ITERS: u64 = 200_000;
+/// Relative allowance before rounding down: `k` loops that all ran in
+/// parallel still read slightly under `k`.
+const PROBE_SLACK: f64 = 0.05;
+
+/// A dependent xorshift chain the optimizer cannot elide: pure register
+/// work, so concurrent copies only compete for cores, not for memory.
+fn spin(iters: u64) -> u64 {
+    let mut x = std::hint::black_box(0x9E37_79B9_7F4A_7C15u64);
+    for _ in 0..iters {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+    }
+    std::hint::black_box(x)
+}
+
+/// Runs `k` probe loops at once (the caller's thread plus `k - 1` scoped
+/// helpers) and returns the span from the earliest loop start to the latest
+/// loop end. The loops start together off a yielding spin barrier and each
+/// stamps its own start, so thread spawn cost stays out of the span, while
+/// loops that time-slice one core still add up.
+fn concurrent_span(k: usize) -> std::time::Duration {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
+    // A one-shot measurement, not a protocol the model checker explores,
+    // so it uses std primitives directly like [`FORCED`].
+    let arrived = AtomicUsize::new(0);
+    let timed = || {
+        arrived.fetch_add(1, Ordering::AcqRel);
+        while arrived.load(Ordering::Acquire) < k {
+            std::thread::yield_now();
+        }
+        let start = Instant::now();
+        spin(PROBE_ITERS);
+        (start, Instant::now())
+    };
+    let stamps: Vec<(Instant, Instant)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..k).map(|_| scope.spawn(timed)).collect();
+        let mut stamps = vec![timed()];
+        stamps.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("probe loops cannot panic")),
+        );
+        stamps
+    });
+    let first = stamps.iter().map(|s| s.0).min().expect("k >= 1");
+    let last = stamps.iter().map(|s| s.1).max().expect("k >= 1");
+    last - first
+}
+
+/// Smallest worker count at which the chunked sort may beat
+/// `sort_unstable_by_key`. The chunk sorts overlap, but the k-way merge
+/// runs on one thread after them: sorting 20k–1M 20-byte records at 2
+/// workers took 1.04–1.59× the wall time and 1.27–1.59× the CPU time of
+/// one (best of 5, 2-vCPU x86 host). Three is the smallest width not
+/// measured to lose.
+const SORT_BREAK_EVEN: usize = 3;
 
 /// Sorts `items` by `key` across up to [`workers`] scoped threads: the
 /// vector is split into one contiguous chunk per worker, each chunk is
@@ -133,8 +327,8 @@ where
     // A chunk must amortize its thread spawn; tiny sorts run inline.
     const MIN_ITEMS: usize = 4096;
     let n = items.len();
-    let w = workers().min(n / (MIN_ITEMS / 4));
-    if w < 2 || n < MIN_ITEMS {
+    let w = width(n, MIN_ITEMS, SORT_BREAK_EVEN).min(n / (MIN_ITEMS / 4));
+    if w < 2 {
         items.sort_unstable_by_key(|t| key(t));
         return;
     }

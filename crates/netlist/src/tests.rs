@@ -851,6 +851,7 @@ proptest! {
 /// test then pins simple determinism.
 #[test]
 fn parallel_enumeration_matches_sequential() {
+    let _guard = worker_override_lock();
     /// A `bits × bits` array multiplier: reconvergent carry-save structure
     /// with wide topological levels, so the level-parallel driver really
     /// spawns workers (narrow designs run inline even with workers forced).
@@ -935,6 +936,7 @@ fn parallel_enumeration_matches_sequential() {
 
 #[test]
 fn map_ordered_caught_contains_single_item_panic() {
+    let _guard = worker_override_lock();
     // One poisoned item must not take down the others, and the surviving
     // results must be byte-identical in input order for any worker count.
     for workers in [1usize, 4] {
@@ -965,6 +967,7 @@ fn map_ordered_caught_contains_single_item_panic() {
 
 #[test]
 fn map_ordered_resumes_the_lowest_index_panic() {
+    let _guard = worker_override_lock();
     for workers in [1usize, 4] {
         crate::par::force_workers(workers);
         let caught = std::panic::catch_unwind(|| {
@@ -987,6 +990,7 @@ fn map_ordered_resumes_the_lowest_index_panic() {
 
 #[test]
 fn map_ordered_streamed_emits_every_item_in_input_order() {
+    let _guard = worker_override_lock();
     for workers in [1usize, 4] {
         crate::par::force_workers(workers);
         let mut emitted: Vec<(usize, Result<String, String>)> = Vec::new();
@@ -1021,6 +1025,7 @@ fn map_ordered_streamed_emits_every_item_in_input_order() {
 
 #[test]
 fn par_sort_matches_sequential_for_every_worker_count() {
+    let _guard = worker_override_lock();
     // A strict total order (unique trailing index), so the chunked sort +
     // k-way merge must be byte-identical to the sequential sort for any
     // worker count — including more workers than cores.
@@ -1042,6 +1047,96 @@ fn par_sort_matches_sequential_for_every_worker_count() {
     crate::par::sort_unstable_by_key(&mut small, |&e| e);
     expect.sort_unstable_by_key(|&e| e);
     assert_eq!(small, expect);
+}
+
+/// Serializes the tests that install the process-global `force_workers`
+/// override, so the policy tests below read the width they forced rather
+/// than a sibling test's. Lock poisoning is ignored — a panicking test
+/// already failed; the next one still needs the lock.
+fn worker_override_lock() -> crate::sync::MutexGuard<'static, ()> {
+    use crate::sync::{Mutex, OnceLock};
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
+
+// Forced widths above 1 need the `parallel` feature (`workers()` is
+// constantly 1 without it).
+#[cfg(feature = "parallel")]
+#[test]
+fn width_is_one_below_the_grain() {
+    let _guard = worker_override_lock();
+    crate::par::force_workers(8);
+    let below = crate::par::width(1023, 1024, 2);
+    let at = crate::par::width(1024, 1024, 2);
+    let few_items = crate::par::width(3, 1, 2);
+    crate::par::force_workers(0);
+    assert_eq!(below, 1, "one item short of the grain stays sequential");
+    assert_eq!(at, 8, "at the grain the site gets every worker");
+    assert_eq!(few_items, 3, "never more workers than items");
+}
+
+#[cfg(feature = "parallel")]
+#[test]
+fn width_is_one_below_the_break_even() {
+    let _guard = worker_override_lock();
+    crate::par::force_workers(2);
+    let below = crate::par::width(10_000, 1024, 3);
+    let at = crate::par::width(10_000, 1024, 2);
+    crate::par::force_workers(3);
+    let reached = crate::par::width(10_000, 1024, 3);
+    crate::par::force_workers(0);
+    assert_eq!(below, 1, "2 workers are below a break-even width of 3");
+    assert_eq!(at, 2);
+    assert_eq!(reached, 3);
+}
+
+#[cfg(feature = "parallel")]
+#[test]
+fn frontier_engages_at_four_forced_workers_but_not_two() {
+    let _guard = worker_override_lock();
+    crate::par::force_workers(4);
+    let four = crate::cuts::frontier_width(4096);
+    let four_small = crate::cuts::frontier_width(1000);
+    crate::par::force_workers(2);
+    let two = crate::cuts::frontier_width(4096);
+    crate::par::force_workers(0);
+    assert_eq!(four, 4, "4 workers clear the frontier's break-even width");
+    assert_eq!(four_small, 1, "below 1024 cells the plain loop runs");
+    assert_eq!(two, 1, "2 workers lose to the sequential enumeration");
+}
+
+#[test]
+fn explicit_overrides_skip_the_probe() {
+    use crate::par::resolve_workers;
+    let probe = || -> usize { panic!("the probe must not run under an override") };
+    assert_eq!(resolve_workers(3, None, probe), 3, "force_workers wins");
+    assert_eq!(
+        resolve_workers(3, Some(5), probe),
+        3,
+        "over SFQ_WORKERS too"
+    );
+    assert_eq!(resolve_workers(0, Some(5), probe), 5, "SFQ_WORKERS");
+    assert_eq!(
+        resolve_workers(1000, None, probe),
+        crate::par::MAX_WORKERS,
+        "forced counts are capped"
+    );
+    assert_eq!(resolve_workers(0, None, || 2), 2, "no override: the probe");
+}
+
+#[test]
+fn probed_parallelism_never_exceeds_available_parallelism() {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let probed = crate::par::probe_parallelism();
+    assert!(
+        (1..=nproc).contains(&probed),
+        "probe read {probed} with {nproc} CPUs available"
+    );
+    let cached = crate::par::delivered_parallelism();
+    assert!((1..=nproc).contains(&cached), "cached {cached} of {nproc}");
+    assert_eq!(cached, crate::par::delivered_parallelism(), "probed once");
 }
 
 #[test]

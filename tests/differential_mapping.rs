@@ -356,47 +356,62 @@ fn differential_multi_restart_determinism() {
     }
 }
 
-/// The `restarts = workers()` default must never produce a worse Table I
-/// cost than `restarts = 1`: restart 0 is the unperturbed plain descent and
-/// the merge keeps the smallest `(cost, index)`, so extra restarts can only
-/// improve. Swept across forced worker counts (which *are* the default
-/// restart counts) so the guarantee holds however many cores the host has.
+/// The flow's default is the single plain descent: every `FlowConfig`
+/// constructor carries `restarts: 1`, and `FlowConfig::t1(4)` produces a
+/// result byte-identical to an explicit `restarts: 1` flow at every forced
+/// worker count. Opt-in multi-restart search (`restarts: 4` and `8`) must
+/// never give more DFFs or more area than the single descent: restart 0 is
+/// the unperturbed plain descent and the merge keeps the smallest `(cost,
+/// index)`, so extra restarts can only improve — however many workers run
+/// them.
 #[test]
 fn default_restarts_never_worse_than_single() {
     use sfq_core::{run_flow, FlowConfig};
     let _guard = worker_override_lock();
+    for cfg in [
+        FlowConfig::single_phase(),
+        FlowConfig::multiphase(4),
+        FlowConfig::t1(4),
+    ] {
+        assert_eq!(cfg.restarts, 1, "the default is the single descent");
+    }
     for b in [Benchmark::Adder, Benchmark::Square, Benchmark::Multiplier] {
         let name = b.name();
         let aig = b.build_small();
-        for workers in [1usize, 4, 8] {
-            sfq_netlist::par::force_workers(workers);
-            let default_cfg = FlowConfig::t1(4); // restarts = workers()
-            assert_eq!(
-                default_cfg.restarts,
-                sfq_netlist::par::workers(),
-                "{name}: the default restart count is the worker count"
-            );
-            let single_cfg = FlowConfig {
-                restarts: 1,
+        let with_restarts = |restarts: usize| {
+            let cfg = FlowConfig {
+                restarts,
                 ..FlowConfig::t1(4)
             };
-            let multi = run_flow(&aig, &default_cfg).expect("default flow");
-            let single = run_flow(&aig, &single_cfg).expect("restarts=1 flow");
+            run_flow(&aig, &cfg).expect("flow")
+        };
+        for workers in [1usize, 4, 8] {
+            sfq_netlist::par::force_workers(workers);
+            let default = run_flow(&aig, &FlowConfig::t1(4)).expect("default flow");
+            let single = with_restarts(1);
+            let multi = [4usize, 8].map(|r| (r, with_restarts(r)));
             sfq_netlist::par::force_workers(0);
-            assert!(
-                multi.report.num_dffs <= single.report.num_dffs,
-                "{name}: default restarts worsened DFFs at {workers} workers \
-                 ({} > {})",
-                multi.report.num_dffs,
-                single.report.num_dffs
-            );
-            assert!(
-                multi.report.area <= single.report.area,
-                "{name}: default restarts worsened area at {workers} workers \
-                 ({} > {})",
-                multi.report.area,
-                single.report.area
-            );
+
+            let stage = format!("default vs restarts=1 at {workers} workers");
+            assert_identical(name, &stage, &default.timed.network, &single.timed.network);
+            assert_eq!(default.timed.stages, single.timed.stages, "{name}: {stage}");
+            assert_eq!(default.report, single.report, "{name}: {stage}");
+            for (restarts, m) in multi {
+                assert!(
+                    m.report.num_dffs <= single.report.num_dffs,
+                    "{name}: restarts={restarts} worsened DFFs at {workers} workers \
+                     ({} > {})",
+                    m.report.num_dffs,
+                    single.report.num_dffs
+                );
+                assert!(
+                    m.report.area <= single.report.area,
+                    "{name}: restarts={restarts} worsened area at {workers} workers \
+                     ({} > {})",
+                    m.report.area,
+                    single.report.area
+                );
+            }
         }
     }
 }
