@@ -64,8 +64,8 @@ fn bench_hotpaths(c: &mut Criterion) {
     // nearly balanced (ROADMAP's perf targets). `enumerate_cuts`/`detect_t1`
     // gate the ISSUE 3 pruning/parallelism work; `assign_phases/log2_t1`
     // and `insert_dffs/log2` gate the ISSUE 4 timing-engine refactor of the
-    // phase/dff stages. The same IDs measure the parallel path when the
-    // bench is compiled with `--features parallel`.
+    // phase/dff stages. The same IDs measure the parallel paths whenever
+    // `SFQ_WORKERS` (or the host) grants the fan-outs their break-even width.
     let log2_aig = circuits::log2_shift_add(32);
     let (log2, _) = map_aig(&log2_aig, &lib).cleaned();
     c.bench_function("enumerate_cuts/log2", |b| {
@@ -87,13 +87,10 @@ fn bench_hotpaths(c: &mut Criterion) {
     // work-stealing frontier driver explicitly, with at least two workers,
     // so the gate measures the parallel scheduler even on hosts where the
     // `enumerate_cuts` dispatcher would fall back to the sequential path.
-    #[cfg(feature = "parallel")]
-    {
-        let w = sfq_netlist::par::workers().max(2);
-        c.bench_function("enumerate_cuts_frontier/log2", |b| {
-            b.iter(|| sfq_netlist::enumerate_cuts_frontier(&log2, &cut_config, w))
-        });
-    }
+    let w = sfq_netlist::par::workers().max(2);
+    c.bench_function("enumerate_cuts_frontier/log2", |b| {
+        b.iter(|| sfq_netlist::enumerate_cuts_frontier(&log2, &cut_config, w))
+    });
     // `detect_sort/log2` gates the chunked parallel sort + deterministic
     // k-way merge behind detect's match-record phase: synthetic records at
     // log2's cell volume under a duplicate-free key, sorted through the

@@ -16,14 +16,13 @@
 //! **not** point `--json` at `BENCH_flow.json`, which would overwrite the
 //! history with a bare snapshot.
 //!
-//! With `--features parallel` the benchmarks profile concurrently (one
-//! scoped thread each); stage timings then include core contention, so
-//! prefer the sequential default when recording official numbers.
+//! The benchmarks profile one after another, so no row's stage timings
+//! include another row's contention; `"workers"` in the JSON records the
+//! in-flow worker count (`sfq_netlist::par::workers`).
 
-use sfq_bench::par;
 use sfq_circuits::Benchmark;
 use sfq_core::{assign_phases, detect_t1, insert_dffs, PhaseEngine};
-use sfq_netlist::{map_aig, CutConfig, Library};
+use sfq_netlist::{map_aig, par, CutConfig, Library};
 use std::time::{Duration, Instant};
 
 struct ProfileRow {
@@ -88,7 +87,7 @@ fn render_json(rows: &[ProfileRow], small: bool) -> String {
         "  \"scale\": \"{}\",\n",
         if small { "small" } else { "paper" }
     ));
-    out.push_str(&format!("  \"parallel\": {},\n", par::ENABLED));
+    out.push_str(&format!("  \"workers\": {},\n", par::workers()));
     out.push_str("  \"benchmarks\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -126,10 +125,7 @@ fn main() {
     // output stays pipeable (`profile_scale --json - | jq ...`).
     let json_on_stdout = json_path.as_deref() == Some("-");
 
-    if par::ENABLED {
-        eprintln!("profiling all benchmarks concurrently (timings include core contention)");
-    }
-    let rows = par::map(Benchmark::ALL.to_vec(), |b| profile(b, small));
+    let rows: Vec<ProfileRow> = Benchmark::ALL.iter().map(|&b| profile(b, small)).collect();
 
     for r in &rows {
         let line = format!(

@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Stdout carries only the deterministic table (CI diffs it against
-//! `tests/golden/corpus_table.txt`, in both sequential and
-//! `--features parallel` builds); progress goes to stderr.
+//! `tests/golden/corpus_table.txt` at `SFQ_WORKERS=1` and
+//! `SFQ_WORKERS=4`); progress goes to stderr.
 
 use sfq_bench::corpus::{corpus_dir, format_corpus_table, run_corpus};
 use std::time::Instant;

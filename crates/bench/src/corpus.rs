@@ -5,10 +5,10 @@
 //! `Design::write_native` of its own parse, so interchange regressions show
 //! up as plain byte diffs. [`run_corpus`] applies the paper's 4φ-vs-T1
 //! protocol to every design, fanning the flows over
-//! [`sfq_netlist::par::workers`] scoped threads under `--features parallel`
-//! with an input-order merge: the formatted table is bit-identical between
-//! sequential and parallel builds, which CI checks against the committed
-//! golden `tests/golden/corpus_table.txt`.
+//! [`sfq_netlist::par::workers`] scoped threads with an input-order merge:
+//! the formatted table is bit-identical for every worker count, which CI
+//! checks against the committed golden `tests/golden/corpus_table.txt` at
+//! `SFQ_WORKERS=1` and `SFQ_WORKERS=4`.
 
 use sfq_core::{run_flow_on_design, FlowConfig, FlowError, FlowReport};
 use sfq_netlist::design::{Design, DesignError};
@@ -92,8 +92,8 @@ pub fn load_corpus(dir: &Path) -> Result<Vec<(String, Design)>, CorpusError> {
 
 /// Runs the 4φ and 4φ+T1 flows on every design of `dir`.
 ///
-/// Flows fan over scoped worker threads under `--features parallel`; rows
-/// come back in input (file-name) order either way.
+/// Flows fan over [`par::map_ordered`]; rows come back in input
+/// (file-name) order for every worker count.
 ///
 /// # Errors
 /// [`CorpusError`] — the first failure in input order.

@@ -25,7 +25,6 @@
 
 pub mod corpus;
 pub mod paper;
-pub mod par;
 pub mod table;
 
 pub use corpus::{format_corpus_table, load_corpus, run_corpus, CorpusError, CorpusRow};

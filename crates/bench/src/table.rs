@@ -119,10 +119,11 @@ pub fn run_row_with(
 /// Runs the full Table I experiment (all eight benchmarks).
 ///
 /// `progress` is invoked with each finished row (for incremental printing).
-/// With the `parallel` feature the rows run concurrently on scoped worker
-/// threads ([`crate::par`]); results and `progress` calls still come in
-/// table order, so the printed output is identical — only the `runtime`
-/// fields get noisier from core contention.
+/// The rows fan out over [`sfq_netlist::par::map_ordered`], so
+/// `SFQ_WORKERS` bounds them like every other fan-out; results and
+/// `progress` calls still come in table order, so the printed output is
+/// identical for every worker count — only the `runtime` fields get
+/// noisier from core contention.
 ///
 /// # Errors
 /// Propagates the first [`FlowError`] in table order.
@@ -130,7 +131,8 @@ pub fn run_table(
     scale: Scale,
     mut progress: impl FnMut(&TableRow),
 ) -> Result<Vec<TableRow>, FlowError> {
-    let results = crate::par::map(Benchmark::ALL.to_vec(), |bench| run_row(bench, scale));
+    let results =
+        sfq_netlist::par::map_ordered(Benchmark::ALL.to_vec(), |bench| run_row(bench, scale));
     let mut rows = Vec::with_capacity(results.len());
     for result in results {
         let row = result?;

@@ -1,9 +1,9 @@
 //! Determinism sweep over worker counts: the Table I (small scale) numbers
 //! must be byte-identical for every worker count, and must match the
-//! committed golden `tests/golden/table1_small.txt`. This is the in-process
-//! half of the contract the CI `sequential` job checks across *builds*
-//! (default/parallel vs `--no-default-features`): parallelism is a
-//! scheduling decision, never an observable one.
+//! committed golden `tests/golden/table1_small.txt`. CI checks the same
+//! contract from outside the process, diffing `table1 --small` against the
+//! golden at `SFQ_WORKERS=1` and by default: parallelism is a scheduling
+//! decision, never an observable one.
 
 use sfq_bench::{format_table, run_row_with, Scale};
 use sfq_circuits::Benchmark;

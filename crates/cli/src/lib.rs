@@ -134,15 +134,16 @@ SUBCOMMANDS:
             structural Verilog, VCD pulse waveform of random operand waves.
             --batch runs every .aag/.blif design in a directory (one table
             row per design, input order; identical content parses once;
-            with the `parallel` build the flows fan over worker threads).
+            the flows fan over the --workers threads).
             Each batch design runs supervised: a design that fails to
             parse, panics, or exceeds --deadline-ms / --max-nodes renders
             as a FAILED(reason) row while the rest continue (--keep-going,
             the default) or the batch stops at the first failure
             (--fail-fast); any failure makes the exit code 2.
             --workers N caps the worker threads the flow's parallel
-            fan-outs use (default: SFQ_WORKERS if set, else all host
-            cores; results are byte-identical for every worker count).
+            fan-outs use (default: SFQ_WORKERS if set, else the cores the
+            host delivers; results are byte-identical for every worker
+            count, and 1 is the sequential reference run).
             --daemon SOCKET serves the flow through a running sfqt1d
             instead of computing locally: batches submit designs by path,
             a single <input> is submitted inline, and result rows stream
@@ -504,8 +505,8 @@ fn load_batch_designs(dir: &str) -> Result<(Vec<BatchEntry>, usize), CliError> {
 /// [`par::workers`](sfq_netlist::par::workers) scoped threads, and each row
 /// **prints as soon as it is unblocked, in input order** — the first rows of
 /// a long batch appear while later designs still run, and the table stays
-/// byte-identical between sequential and parallel builds for any worker
-/// count (failure reasons are deterministic strings).
+/// byte-identical for any worker count (failure reasons are deterministic
+/// strings).
 ///
 /// Containment policy (owned by the engine): a design that fails —
 /// unparseable, flow error, panic, deadline or node-budget abort — renders
@@ -520,6 +521,26 @@ fn cmd_flow_batch(
     opts: &BatchOptions,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
+    print_batch(dir, &table_header(), opts, out, |jobs, tx| {
+        run_jobs_streamed(jobs, config, &opts.limits, |row| {
+            // A dropped receiver (fail-fast caller gone) is harmless:
+            // remaining rows are computed and discarded.
+            let _ = tx.send(row);
+        });
+    })
+}
+
+/// The body both batch commands share: loads `dir`, prints the preamble and
+/// `header`, runs the job engine (`run`, which sends each finished row to
+/// the channel) on a scoped thread, and prints every row as it arrives, in
+/// input order. Enforces `--fail-fast` and the summary/exit-code contract.
+fn print_batch(
+    dir: &str,
+    header: &str,
+    opts: &BatchOptions,
+    out: &mut dyn Write,
+    run: impl FnOnce(&[JobEntry], std::sync::mpsc::Sender<JobRow>) + Send,
+) -> Result<(), CliError> {
     let (entries, cache_hits) = load_batch_designs(dir)?;
     writeln!(
         out,
@@ -529,7 +550,7 @@ fn cmd_flow_batch(
         cache_hits
     )
     .map_err(io_err("<stdout>"))?;
-    writeln!(out, "{}", table_header()).map_err(io_err("<stdout>"))?;
+    writeln!(out, "{header}").map_err(io_err("<stdout>"))?;
     let jobs: Vec<JobEntry> = entries
         .into_iter()
         .map(|(name, design)| JobEntry {
@@ -545,13 +566,7 @@ fn cmd_flow_batch(
     let mut stopped = false;
     let mut write_err: Option<std::io::Error> = None;
     std::thread::scope(|scope| {
-        scope.spawn(move || {
-            run_jobs_streamed(&jobs, config, &opts.limits, |row| {
-                // A dropped receiver (fail-fast caller gone) is harmless:
-                // remaining rows are computed and discarded.
-                let _ = tx.send(row);
-            });
-        });
+        let engine = sfq_netlist::sync::spawn_scoped(scope, || run(&jobs, tx));
         for row in rx {
             if stopped || write_err.is_some() {
                 continue; // keep draining; the jobs ran either way
@@ -573,6 +588,9 @@ fn cmd_flow_batch(
                 }
             }
         }
+        engine
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     });
     if let Some(source) = write_err {
         return Err(CliError::Io {
@@ -864,66 +882,11 @@ fn cmd_verify_batch(
     opts: &BatchOptions,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    let (entries, cache_hits) = load_batch_designs(dir)?;
-    writeln!(
-        out,
-        "batch: {} designs ({} parsed, {} cache hits)",
-        entries.len(),
-        entries.len() - cache_hits,
-        cache_hits
-    )
-    .map_err(io_err("<stdout>"))?;
-    writeln!(out, "{}", verify_table_header()).map_err(io_err("<stdout>"))?;
-    let jobs: Vec<JobEntry> = entries
-        .into_iter()
-        .map(|(name, design)| JobEntry {
-            name,
-            design: design.map_err(|e| e.to_string()),
-        })
-        .collect();
-    let (tx, rx) = std::sync::mpsc::channel::<JobRow>();
-    let (mut ok, mut failed) = (0usize, 0usize);
-    let mut stopped = false;
-    let mut write_err: Option<std::io::Error> = None;
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            run_verify_jobs_streamed(&jobs, config, &opts.limits, vopts, |row| {
-                let _ = tx.send(row);
-            });
+    print_batch(dir, &verify_table_header(), opts, out, |jobs, tx| {
+        run_verify_jobs_streamed(jobs, config, &opts.limits, vopts, |row| {
+            let _ = tx.send(row);
         });
-        for row in rx {
-            if stopped || write_err.is_some() {
-                continue; // keep draining; the jobs ran either way
-            }
-            if let Err(e) = writeln!(out, "{}", row.line) {
-                write_err = Some(e);
-                continue;
-            }
-            if row.is_ok() {
-                ok += 1;
-            } else {
-                failed += 1;
-                if opts.fail_fast {
-                    if let Err(e) = writeln!(out, "batch: stopping at first failure (--fail-fast)")
-                    {
-                        write_err = Some(e);
-                    }
-                    stopped = true;
-                }
-            }
-        }
-    });
-    if let Some(source) = write_err {
-        return Err(CliError::Io {
-            path: "<stdout>".to_string(),
-            source,
-        });
-    }
-    writeln!(out, "batch summary: {ok} ok, {failed} failed").map_err(io_err("<stdout>"))?;
-    if failed > 0 {
-        return Err(CliError::Partial { ok, failed });
-    }
-    Ok(())
+    })
 }
 
 /// `sfqt1 daemon <ping|stats|stop> <socket>`: control-plane requests
@@ -1202,7 +1165,6 @@ fn cmd_table(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[cfg(feature = "parallel")]
     use sfq_netlist::par;
     use std::path::PathBuf;
 
@@ -1650,10 +1612,8 @@ mod tests {
 
     /// Worker-forcing tests share the process-global override; serialize
     /// them so a concurrent test never observes a half-forced state.
-    #[cfg(feature = "parallel")]
     static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn batch_output_is_identical_sequential_and_parallel() {
         let dir = scratch("batch-seqpar");
@@ -1686,7 +1646,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn workers_flag_forces_the_count_and_rejects_bad_values() {
         let aag = scratch("workersflag.aag");

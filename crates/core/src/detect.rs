@@ -35,22 +35,22 @@
 //!   membership is a dense per-cell vector, and the shared input-inverter
 //!   cache is a short linear-scanned list (committed groups rarely negate
 //!   more than a handful of leaves).
-//! * **The `parallel` feature (a workspace default) fans every
-//!   data-parallel phase over `std::thread::scope` workers** whenever
-//!   `sfq_netlist::par::width` grants the phase at least its break-even
-//!   width: the per-cell match scan (`collect_matches`) and per-run group
-//!   scoring (`evaluate_candidates`) merge private buffers in chunk order,
+//! * **Every data-parallel phase fans out through
+//!   `sfq_netlist::par::map_ordered`** whenever `sfq_netlist::par::width`
+//!   grants the phase at least its break-even width: the per-cell match
+//!   scan (`collect_matches`) and per-run group scoring
+//!   (`evaluate_candidates`) merge private buffers in chunk order,
 //!   the record sort runs as sorted chunks + deterministic k-way merge
 //!   (`sfq_netlist::par::sort_unstable_by_key`, valid because `(key,
 //!   root)` is duplicate-free), and the run-boundary scan chunks at
 //!   run-aligned boundaries (`run_boundaries`). Every merge is input- or
 //!   chunk-ordered, so the record and candidate sequences — and therefore
 //!   the committed groups and the rebuilt network — are bit-identical to
-//!   the sequential build at any worker count. The greedy commit and the
-//!   id-assigning rebuild stay sequential by design: both *define* the
-//!   deterministic order the rest of the flow depends on. Cut enumeration
-//!   parallelizes one crate down (`sfq_netlist::cuts`, work-stealing over
-//!   a dependency-counted frontier).
+//!   the sequential body (`SFQ_WORKERS=1`) at any worker count. The
+//!   greedy commit and the id-assigning rebuild stay sequential by design:
+//!   both *define* the deterministic order the rest of the flow depends
+//!   on. Cut enumeration parallelizes one crate down (`sfq_netlist::cuts`,
+//!   work-stealing over a dependency-counted frontier).
 //!
 //! Measured effect (criterion medians, one dev machine, see
 //! `BENCH_flow.json`): ISSUE 2 took `detect_t1/adder32` 171 µs → 70 µs and
@@ -138,13 +138,10 @@ fn unpack_group_key(key: u128) -> ([Signal; 3], u8) {
 
 /// Cells below which match collection runs inline: a chunk must amortize
 /// its worker's spawn.
-#[cfg(feature = "parallel")]
 const CELL_GRAIN: usize = 1024;
 /// Sorted match records below which the run scan runs inline.
-#[cfg(feature = "parallel")]
 const RECORD_GRAIN: usize = 4096;
 /// `(leaves, mask)` runs below which group scoring runs inline.
-#[cfg(feature = "parallel")]
 const RUN_GRAIN: usize = 256;
 /// Smallest worker count at which detect's chunked fan-outs may beat their
 /// sequential bodies. Each chunk fills a private buffer that is then
@@ -155,7 +152,6 @@ const RUN_GRAIN: usize = 256;
 /// best of 7 and 9 in two sessions), while margin trials measured in the
 /// same minutes ran at 0.64–0.79× — the host did deliver the second core.
 /// Three is the smallest width not measured to lose.
-#[cfg(feature = "parallel")]
 const CHUNKED_BREAK_EVEN: usize = 3;
 
 /// One Boolean match found during collection: a root realizable on `port`
@@ -174,46 +170,24 @@ struct Rec {
 
 /// Scans every gate's 3-leaf cuts against the T1 match table, emitting one
 /// record per `(leaf set, polarity mask, realizable port)` in ascending cell
-/// order. Pure per-cell work over read-only inputs — the first fan-out point
-/// of the `parallel` feature.
+/// order. Pure per-cell work over read-only inputs — the first fan-out
+/// point of detection.
 fn collect_matches(net: &Network, cuts: &sfq_netlist::CutSet, db: &T1MatchDb) -> Vec<Rec> {
     let n = net.num_cells() as u32;
-    #[cfg(feature = "parallel")]
-    {
-        let workers = sfq_netlist::par::width(n as usize, CELL_GRAIN, CHUNKED_BREAK_EVEN);
-        if workers > 1 {
-            let chunk = (n as usize).div_ceil(workers) as u32;
-            let bounds: Vec<(u32, u32)> = (0..workers as u32)
-                .map(|w| ((w * chunk).min(n), ((w + 1) * chunk).min(n)))
-                .collect();
-            let parts: Vec<Vec<Rec>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = bounds
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        scope.spawn(move || {
-                            let mut recs = Vec::new();
-                            collect_matches_range(net, cuts, db, lo..hi, &mut recs);
-                            recs
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                    })
-                    .collect()
-            });
-            // Concatenating in chunk order preserves ascending cell order —
-            // the exact record sequence the sequential scan produces.
-            let mut parts = parts.into_iter();
-            let mut recs = parts.next().unwrap_or_default();
-            for part in parts {
-                recs.extend(part);
-            }
-            return recs;
-        }
+    let workers = sfq_netlist::par::width(n as usize, CELL_GRAIN, CHUNKED_BREAK_EVEN);
+    if workers > 1 {
+        let chunk = (n as usize).div_ceil(workers) as u32;
+        let bounds: Vec<(u32, u32)> = (0..workers as u32)
+            .map(|w| ((w * chunk).min(n), ((w + 1) * chunk).min(n)))
+            .collect();
+        // Concatenating in chunk order preserves ascending cell order — the
+        // exact record sequence the sequential scan produces.
+        return sfq_netlist::par::map_ordered(bounds, |(lo, hi)| {
+            let mut recs = Vec::new();
+            collect_matches_range(net, cuts, db, lo..hi, &mut recs);
+            recs
+        })
+        .concat();
     }
     let mut recs: Vec<Rec> = Vec::with_capacity(cuts.total() / 2);
     collect_matches_range(net, cuts, db, 0..n, &mut recs);
@@ -297,7 +271,7 @@ pub fn detect_t1_with_threshold(
 
     // ---- evaluate candidates ---------------------------------------------
     // Split the sorted records into (leaves, mask) runs, then score each run
-    // independently (the second fan-out point of the `parallel` feature).
+    // independently (the second fan-out point of detection).
     let runs = run_boundaries(&recs);
     let mut candidates = evaluate_candidates(net, lib, &refs, &recs, &runs, threshold);
     let found = candidates.len();
@@ -347,52 +321,35 @@ pub fn detect_t1_with_threshold(
 }
 
 /// Splits sorted records into `(start, end)` runs of equal [`group_key`]s.
-/// With the `parallel` feature and enough records the scan is chunked over
-/// scoped workers at *run-aligned* boundaries (each chunk starts where a
-/// key first differs from its predecessor, so no run straddles two chunks)
-/// and the per-chunk run lists are concatenated in chunk order — the exact
-/// sequence the sequential scan produces.
+/// With enough records and workers the scan is chunked over
+/// [`sfq_netlist::par::map_ordered`] at *run-aligned* boundaries (each
+/// chunk starts where a key first differs from its predecessor, so no run
+/// straddles two chunks) and the per-chunk run lists are concatenated in
+/// chunk order — the exact sequence the sequential scan produces.
 fn run_boundaries(recs: &[Rec]) -> Vec<(u32, u32)> {
-    #[cfg(feature = "parallel")]
-    {
-        let n = recs.len();
-        let workers = sfq_netlist::par::width(n, RECORD_GRAIN, CHUNKED_BREAK_EVEN);
-        if workers > 1 {
-            let chunk = n.div_ceil(workers);
-            let mut bounds: Vec<usize> = vec![0];
-            let mut pos = chunk;
-            while pos < n {
-                // `pos` may land mid-run; advance to the next run start so
-                // the straddling run stays whole in the previous chunk.
-                while pos < n && recs[pos].key == recs[pos - 1].key {
-                    pos += 1;
-                }
-                if pos >= n {
-                    break;
-                }
-                bounds.push(pos);
-                pos += chunk;
+    let n = recs.len();
+    let workers = sfq_netlist::par::width(n, RECORD_GRAIN, CHUNKED_BREAK_EVEN);
+    if workers > 1 {
+        let chunk = n.div_ceil(workers);
+        let mut bounds: Vec<usize> = vec![0];
+        let mut pos = chunk;
+        while pos < n {
+            // `pos` may land mid-run; advance to the next run start so the
+            // straddling run stays whole in the previous chunk.
+            while pos < n && recs[pos].key == recs[pos - 1].key {
+                pos += 1;
             }
-            bounds.push(n);
-            if bounds.len() > 2 {
-                let parts: Vec<Vec<(u32, u32)>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = bounds
-                        .windows(2)
-                        .map(|w| {
-                            let (lo, hi) = (w[0], w[1]);
-                            scope.spawn(move || scan_runs(recs, lo, hi))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join()
-                                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                        })
-                        .collect()
-                });
-                return parts.concat();
+            if pos >= n {
+                break;
             }
+            bounds.push(pos);
+            pos += chunk;
+        }
+        bounds.push(n);
+        if bounds.len() > 2 {
+            let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
+            return sfq_netlist::par::map_ordered(ranges, |(lo, hi)| scan_runs(recs, lo, hi))
+                .concat();
         }
     }
     scan_runs(recs, 0, recs.len())
@@ -415,10 +372,11 @@ fn scan_runs(recs: &[Rec], lo: usize, hi: usize) -> Vec<(u32, u32)> {
     runs
 }
 
-/// Scores every `(leaves, mask)` run, fanning run slices over scoped worker
-/// threads when the `parallel` feature is on and the run list is large
-/// enough to amortize the spawns. Chunk-order concatenation preserves run
-/// order, so the candidate list matches the sequential scan exactly.
+/// Scores every `(leaves, mask)` run, fanning run slices over
+/// [`sfq_netlist::par::map_ordered`] when the run list is large enough to
+/// amortize the spawns and the host delivers the break-even width.
+/// Chunk-order concatenation preserves run order, so the candidate list
+/// matches the sequential scan exactly.
 fn evaluate_candidates(
     net: &Network,
     lib: &Library,
@@ -427,37 +385,23 @@ fn evaluate_candidates(
     runs: &[(u32, u32)],
     threshold: i64,
 ) -> Vec<T1Group> {
-    #[cfg(feature = "parallel")]
-    {
-        let workers = sfq_netlist::par::width(runs.len(), RUN_GRAIN, CHUNKED_BREAK_EVEN);
-        if workers > 1 {
-            // Budgets are thread-local (worker ticks are no-ops), so charge
-            // the whole scoring pass on the coordinator — the same total the
-            // sequential loop accumulates one run at a time.
-            sfq_netlist::budget::tick(runs.len() as u64);
-            let chunk = runs.len().div_ceil(workers);
-            let parts: Vec<Vec<T1Group>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = runs
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            #[cfg(feature = "fault-injection")]
-                            sfq_netlist::faultpt::hit("par.detect", net.name());
-                            evaluate_runs(net, lib, refs, recs, part, threshold)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // Preserve worker panic payloads for the supervisor.
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                    })
-                    .collect()
-            });
-            return parts.into_iter().flatten().collect();
-        }
+    let workers = sfq_netlist::par::width(runs.len(), RUN_GRAIN, CHUNKED_BREAK_EVEN);
+    if workers > 1 {
+        // Budgets are thread-local (worker ticks are no-ops), so charge the
+        // whole scoring pass on the coordinator — the same total the
+        // sequential loop accumulates one run at a time.
+        sfq_netlist::budget::tick(runs.len() as u64);
+        let chunk = runs.len().div_ceil(workers);
+        // `map_ordered` re-raises the lowest-index worker panic with its
+        // original payload, so the supervisor sees the real reason.
+        return sfq_netlist::par::map_ordered(runs.chunks(chunk).collect(), |part| {
+            #[cfg(feature = "fault-injection")]
+            sfq_netlist::faultpt::hit("par.detect", net.name());
+            evaluate_runs(net, lib, refs, recs, part, threshold)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     }
     evaluate_runs(net, lib, refs, recs, runs, threshold)
 }
@@ -483,7 +427,7 @@ fn evaluate_runs(
     for &(start, end) in runs {
         // Supervised-flow budget check (no-op on worker threads and
         // whenever no budget is installed); the parallel driver charges the
-        // identical total up front, so abort decisions match across builds.
+        // identical total up front, so abort decisions match at any width.
         sfq_netlist::budget::tick(1);
         let entries = &recs[start as usize..end as usize];
         let (leaves, mask) = unpack_group_key(entries[0].key);

@@ -47,9 +47,9 @@
 //! and keeps the state with the lexicographically smallest
 //! `(total cost, restart index)`. Restart results are independent of the
 //! worker partition, so the fan-out at the width
-//! [`sfq_netlist::par::width`] grants under `--features parallel` is
-//! bit-identical to the sequential loop — and restart count 1 is
-//! bit-identical to the single-descent reference.
+//! [`sfq_netlist::par::width`] grants is bit-identical to the sequential
+//! loop — and restart count 1 is bit-identical to the single-descent
+//! reference.
 
 use crate::chains::{chain_cost_sorted, plan_chain, ChainDemand};
 use crate::dff::emit_planned;
@@ -873,9 +873,10 @@ impl<'a> TimingEngine<'a> {
     /// Multi-restart descent: restart 0 descends from the current state;
     /// restarts `1..restarts` descend from deterministically perturbed ASAP
     /// seeds. Keeps the state with the smallest `(total cost, restart
-    /// index)`. With the `parallel` feature the extra restarts fan out at
-    /// the width [`sfq_netlist::par::width`] grants; the result is
-    /// bit-identical to the sequential loop for any worker count.
+    /// index)`. The extra restarts fan out through
+    /// [`sfq_netlist::par::map_ordered`] at the width
+    /// [`sfq_netlist::par::width`] grants; the result is bit-identical to
+    /// the sequential loop for any worker count.
     /// `restarts ≤ 1` is exactly [`TimingEngine::descend`].
     pub fn optimize(&mut self, restarts: usize) {
         let r = restarts.max(1);
@@ -902,37 +903,35 @@ impl<'a> TimingEngine<'a> {
         let workers = sfq_netlist::par::width(extra as usize, 1, 2);
         let mut results: Vec<(usize, EngineState)> = Vec::with_capacity(extra as usize);
         if workers > 1 {
+            /// One fan-out item: the unperturbed descent of the current
+            /// state, or a contiguous range of perturbed restarts.
+            enum Job<'a> {
+                Incumbent(&'a mut EngineState),
+                Restarts(u64, u64),
+            }
             // Contiguous index chunks per worker, concatenated in chunk
             // order: the merge sees restarts in index order regardless of
-            // the partition. Restart 0 (the unperturbed descent of the
-            // current state) runs on this thread, overlapped with the
-            // fan-out rather than serialized ahead of it.
+            // the partition. Restart 0 is one more item, so it overlaps the
+            // perturbed restarts rather than running ahead of them.
             let chunk = (extra as usize).div_ceil(workers) as u64;
-            let bounds: Vec<(u64, u64)> = (0..workers as u64)
-                .map(|w| (1 + w * chunk, (1 + (w + 1) * chunk).min(extra + 1)))
-                .filter(|(lo, hi)| lo < hi)
+            let jobs: Vec<Job> = std::iter::once(Job::Incumbent(state))
+                .chain(
+                    (0..workers as u64)
+                        .map(|w| (1 + w * chunk, (1 + (w + 1) * chunk).min(extra + 1)))
+                        .filter(|(lo, hi)| lo < hi)
+                        .map(|(lo, hi)| Job::Restarts(lo, hi)),
+                )
                 .collect();
-            let parts: Vec<Vec<(usize, EngineState)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = bounds
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        let run = &run_restart;
-                        scope.spawn(move || (lo..hi).map(run).collect::<Vec<_>>())
-                    })
-                    .collect();
-                descend(core, state);
-                handles
-                    .into_iter()
-                    // Preserve worker panic payloads for the supervisor.
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-                    })
-                    .collect()
+            // `map_ordered` re-raises the lowest-index worker panic with its
+            // original payload, so the supervisor sees the real reason.
+            let parts = sfq_netlist::par::map_ordered(jobs, |job| match job {
+                Job::Incumbent(st) => {
+                    descend(core, st);
+                    Vec::new()
+                }
+                Job::Restarts(lo, hi) => (lo..hi).map(&run_restart).collect(),
             });
-            for part in parts {
-                results.extend(part);
-            }
+            results.extend(parts.into_iter().flatten());
         } else {
             descend(core, state);
             for i in 1..=extra {

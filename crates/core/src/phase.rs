@@ -656,9 +656,9 @@ pub fn assign_phases(
 /// [`assign_phases`] with deterministic multi-restart descent: restart 0 is
 /// the plain ASAP descent (so `restarts == 1` is exactly [`assign_phases`]);
 /// restarts `1..` descend from deterministically perturbed ASAP seeds, and
-/// the smallest `(DFF cost, restart index)` wins. Under `--features
-/// parallel` the extra restarts fan out at the width
-/// [`sfq_netlist::par::width`] grants, with a bit-identical merge, so the result never depends on the worker count.
+/// the smallest `(DFF cost, restart index)` wins. The extra restarts fan
+/// out at the width [`sfq_netlist::par::width`] grants, with a
+/// bit-identical merge, so the result never depends on the worker count.
 /// Restarts apply to the heuristic paths; the exact MILP paths ignore them
 /// (their warm start stays the single-descent incumbent).
 ///

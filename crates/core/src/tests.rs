@@ -894,6 +894,28 @@ mod supervision {
             "panicked: injected panic at flow.detect"
         );
 
+        // A panic inside one of detect's scoring workers must reach the
+        // supervisor with its payload intact, not as a generic join error.
+        // Forced 4 workers and a 64-bit adder (well over the 256 runs the
+        // scoring fan-out needs) make the fan-out real; if it did not run,
+        // the fault would never fire and the flow would succeed.
+        let mut wide = ripple_adder_aig(64);
+        wide.set_name("supervise-par-detect-test");
+        arm_limited(
+            "par.detect",
+            Some("supervise-par-detect-test"),
+            FaultAction::Panic,
+            1,
+        );
+        sfq_netlist::par::force_workers(4);
+        let outcome = supervise(&Limits::NONE, || run_flow(&wide, &config));
+        sfq_netlist::par::force_workers(0);
+        disarm("par.detect", Some("supervise-par-detect-test"));
+        assert_eq!(
+            outcome.failure().expect("reason"),
+            "panicked: injected panic at par.detect"
+        );
+
         arm_limited(
             "flow.phase",
             Some("supervise-fault-test"),

@@ -17,8 +17,8 @@
 //!   scoped worker threads (which never install one) are no-ops. All checks
 //!   therefore happen on the coordinating thread; the parallel fan-outs
 //!   bulk-[`tick`] the same unit totals their sequential bodies would, which
-//!   keeps the *node-ceiling* abort decision identical between sequential
-//!   and parallel builds.
+//!   keeps the *node-ceiling* abort decision identical for every worker
+//!   count.
 //! * **Cheap.** A tick is a thread-local read/write; the wall clock is only
 //!   consulted every [`CLOCK_CHECK_INTERVAL`] ticks (and at every
 //!   [`checkpoint`]), so per-node overhead in the hot loops stays in the

@@ -51,7 +51,7 @@
 //! The enumeration order, budget semantics and resulting cut sets are
 //! bit-identical to the straightforward implementation (asserted by the
 //! netlist test suite's cut soundness properties and by
-//! `tests/differential_mapping.rs`, which also A/Bs the feature-gated
+//! `tests/differential_mapping.rs`, which also A/Bs the
 //! work-stealing frontier driver ([`enumerate_cuts_frontier`]) against
 //! [`enumerate_cuts_sequential`]).
 //!
@@ -386,19 +386,15 @@ impl Candidate {
 /// # Panics
 /// Panics if the network is cyclic or `config.max_leaves > 6`.
 pub fn enumerate_cuts(net: &Network, config: &CutConfig) -> CutSet {
-    #[cfg(feature = "parallel")]
-    {
-        let workers = frontier_width(net.num_cells());
-        if workers > 1 {
-            return enumerate_cuts_frontier(net, config, workers);
-        }
+    let workers = frontier_width(net.num_cells());
+    if workers > 1 {
+        return enumerate_cuts_frontier(net, config, workers);
     }
     enumerate_cuts_sequential(net, config)
 }
 
 /// Smallest network (cells) whose frontier amortizes its thread spawns and
 /// scheduler state; smaller networks run the plain loop.
-#[cfg(feature = "parallel")]
 const FRONTIER_GRAIN: usize = 1024;
 
 /// Smallest worker count at which the work-stealing frontier beats
@@ -408,21 +404,19 @@ const FRONTIER_GRAIN: usize = 1024;
 /// sequential loop on the paper-scale Table I designs from c6288 to log2
 /// (best of 5, 2-vCPU x86 host), so even two free cores finish later than
 /// one; spread over three, the same CPU time would beat it.
-#[cfg(feature = "parallel")]
 const FRONTIER_BREAK_EVEN: usize = 3;
 
 /// Width [`enumerate_cuts`] gives the frontier for a `cells`-cell network
 /// (`1` = the sequential loop).
-#[cfg(feature = "parallel")]
 pub(crate) fn frontier_width(cells: usize) -> usize {
     crate::par::width(cells, FRONTIER_GRAIN, FRONTIER_BREAK_EVEN)
 }
 
 /// The sequential cut enumeration — the executable specification of the
-/// feature-gated parallel driver. [`enumerate_cuts`] dispatches here unless
-/// the `parallel` feature is on *and* [`crate::par::width`] grants the
-/// frontier at least its break-even width; the differential tests assert
-/// per-node equality of both paths' cut sets.
+/// work-stealing frontier. [`enumerate_cuts`] dispatches here unless
+/// [`crate::par::width`] grants the frontier at least its break-even width
+/// (always under `SFQ_WORKERS=1`); the differential tests assert per-node
+/// equality of both paths' cut sets.
 ///
 /// # Panics
 /// Panics if the network is cyclic or `config.max_leaves > 6`.
@@ -465,7 +459,6 @@ pub fn enumerate_cuts_sequential(net: &Network, config: &CutConfig) -> CutSet {
 /// One finished node's cut set, published for successors to read. `sigs` is
 /// parallel to `cuts` (needed by successors' prefilters, dropped at final
 /// assembly).
-#[cfg(feature = "parallel")]
 struct NodeOut {
     cuts: Vec<Cut>,
     sigs: Vec<Sig256>,
@@ -475,7 +468,6 @@ struct NodeOut {
 /// armed — the unwind path of a panicking frontier worker. Without this a
 /// panic (injected fault, budget abort) would leave peers parked on the
 /// condvar forever.
-#[cfg(feature = "parallel")]
 struct FrontierAbort<'a> {
     abort: &'a crate::sync::AtomicBool,
     ready: &'a crate::sync::Mutex<Vec<u32>>,
@@ -483,7 +475,6 @@ struct FrontierAbort<'a> {
     armed: bool,
 }
 
-#[cfg(feature = "parallel")]
 impl Drop for FrontierAbort<'_> {
     fn drop(&mut self) {
         if self.armed {
@@ -497,7 +488,7 @@ impl Drop for FrontierAbort<'_> {
     }
 }
 
-/// Work-stealing parallel enumeration (the `parallel` feature): every node
+/// Work-stealing parallel enumeration: every node
 /// carries an atomic countdown of its unfinished fanins; workers claim
 /// ready nodes from a shared queue (plus a thread-local depth-first stack
 /// for the cache-friendly common case of one successor becoming ready),
@@ -517,7 +508,6 @@ impl Drop for FrontierAbort<'_> {
 /// Panics if the network is cyclic or `config.max_leaves > 6`; worker
 /// panics (injected faults, budget aborts on the coordinator) are resumed
 /// on the calling thread with their original payload.
-#[cfg(feature = "parallel")]
 pub fn enumerate_cuts_frontier(net: &Network, config: &CutConfig, workers: usize) -> CutSet {
     use crate::sync::{AtomicBool, AtomicU32, AtomicUsize, Condvar, Mutex, OnceLock, Ordering};
 
@@ -711,7 +701,7 @@ pub fn enumerate_cuts_frontier(net: &Network, config: &CutConfig, workers: usize
 /// Reusable per-node scratch of [`compute_node_cuts`]: the leaf arena, the
 /// candidate list, the sort permutation, the surviving-candidate list and
 /// the survivors' derived functions. One scratch serves any number of nodes
-/// (and, under the `parallel` feature, one scratch serves each worker).
+/// (and, on the frontier, one scratch serves each worker).
 #[derive(Default)]
 struct NodeScratch {
     arena: Vec<Signal>,

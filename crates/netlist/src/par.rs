@@ -1,18 +1,20 @@
-//! Worker-count policy for the in-flow parallelism.
+//! Worker-count policy and the fan-out primitive of the in-flow parallelism.
 //!
-//! The `parallel` cargo feature fans cut enumeration (and, one crate up,
-//! T1 detection's collection/scoring passes, the phase-descent restarts and
-//! the Monte-Carlo margin trials) over `std::thread::scope` workers. This
-//! module owns the two policy decisions those fan-outs share: how many
-//! workers the host delivers ([`workers`]) and whether one site should use
-//! them ([`width`]). Everything else — level scheduling, chunking,
-//! deterministic merges — lives next to the loops it parallelizes.
+//! Cut enumeration (and, one crate up, T1 detection's collection/scoring
+//! passes, the phase-descent restarts and the Monte-Carlo margin trials)
+//! fan out over scoped worker threads. This module owns the two policy
+//! decisions those fan-outs share — how many workers the host delivers
+//! ([`workers`]) and whether one site should use them ([`width`]) — and
+//! the one primitive every chunked fan-out spawns through
+//! ([`map_ordered`]). Chunking and deterministic merges live next to the
+//! loops they parallelize; the cut frontier keeps its own work-stealing
+//! protocol.
 //!
-//! Without the feature, [`workers`] is constantly `1`, and every fan-out
-//! site falls through to its sequential body. With it, the default worker
-//! count is the parallelism a one-time spin-loop probe measures, not the
-//! number of CPUs the host reports: a 2-vCPU guest that delivers about one
-//! core resolves to one worker, so its fan-outs stay sequential.
+//! The default worker count is the parallelism a one-time spin-loop probe
+//! measures, not the number of CPUs the host reports: a 2-vCPU guest that
+//! delivers about one core resolves to one worker, so its fan-outs stay
+//! sequential. `SFQ_WORKERS=1` is the sequential reference run: every
+//! fan-out site then runs its sequential body.
 
 use crate::sync;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,8 +36,7 @@ static FORCED: AtomicUsize = AtomicUsize::new(0);
 pub const MAX_WORKERS: usize = 64;
 
 /// Forces [`workers`] to return `n` for the rest of the process (`0`
-/// clears the override). Without the `parallel` feature the override is
-/// recorded but [`workers`] still returns `1`.
+/// clears the override).
 ///
 /// This is the in-process testing hook: the differential tests use it to
 /// exercise the parallel merges even on single-core hosts. It exists so
@@ -72,13 +73,12 @@ pub fn parse_workers(value: &str) -> Result<usize, String> {
 
 /// Number of scoped worker threads the in-flow fan-outs may use.
 ///
-/// With the `parallel` feature, in order of precedence: a [`force_workers`]
-/// override, then the `SFQ_WORKERS` environment variable (read once, at
-/// first use), then the host's delivered parallelism
-/// ([`delivered_parallelism`], probed once per process). Explicit overrides
-/// may exceed the host's core count up to [`MAX_WORKERS`], which is how
-/// single-core CI exercises the parallel merges, and they skip the probe.
-/// Without the feature: `1`.
+/// In order of precedence: a [`force_workers`] override, then the
+/// `SFQ_WORKERS` environment variable (read once, at first use), then the
+/// host's delivered parallelism ([`delivered_parallelism`], probed once per
+/// process). Explicit overrides may exceed the host's core count up to
+/// [`MAX_WORKERS`], which is how single-core CI exercises the parallel
+/// merges, and they skip the probe.
 ///
 /// Fan-out sites should ask [`width`] rather than call this directly, so
 /// that small inputs never pay for the probe.
@@ -92,21 +92,13 @@ pub fn workers() -> usize {
 /// either. The probe starts threads, so this keeps a process that never
 /// fans out single-threaded.
 fn workers_reaching(at_least: usize) -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        resolve_workers(FORCED.load(Ordering::SeqCst), env_workers(), || {
-            if available_cpus() < at_least {
-                1
-            } else {
-                delivered_parallelism()
-            }
-        })
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = at_least;
-        1
-    }
+    resolve_workers(FORCED.load(Ordering::SeqCst), env_workers(), || {
+        if available_cpus() < at_least {
+            1
+        } else {
+            delivered_parallelism()
+        }
+    })
 }
 
 /// `std::thread::available_parallelism()`, read once: it respects CPU
@@ -119,7 +111,6 @@ fn available_cpus() -> usize {
 /// The precedence rule behind [`workers`]: a non-zero `forced` override,
 /// else the `env` override, else `probe()`. The probe runs only when
 /// neither override is set.
-#[cfg(any(feature = "parallel", test))]
 pub(crate) fn resolve_workers(
     forced: usize,
     env: Option<usize>,
@@ -132,7 +123,6 @@ pub(crate) fn resolve_workers(
 }
 
 /// The validated `SFQ_WORKERS` override, read once per process.
-#[cfg(feature = "parallel")]
 fn env_workers() -> Option<usize> {
     static FROM_ENV: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
     *FROM_ENV.get_or_init(|| match std::env::var("SFQ_WORKERS") {
@@ -271,7 +261,8 @@ fn concurrent_span(k: usize) -> std::time::Duration {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Instant;
     // A one-shot measurement, not a protocol the model checker explores,
-    // so it uses std primitives directly like [`FORCED`].
+    // so the barrier is a std atomic like [`FORCED`]; only the spawn goes
+    // through the crate's funnel.
     let arrived = AtomicUsize::new(0);
     let timed = || {
         arrived.fetch_add(1, Ordering::AcqRel);
@@ -283,7 +274,7 @@ fn concurrent_span(k: usize) -> std::time::Duration {
         (start, Instant::now())
     };
     let stamps: Vec<(Instant, Instant)> = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..k).map(|_| scope.spawn(timed)).collect();
+        let helpers: Vec<_> = (1..k).map(|_| sync::spawn_scoped(scope, timed)).collect();
         let mut stamps = vec![timed()];
         stamps.extend(
             helpers
@@ -307,9 +298,9 @@ const SORT_BREAK_EVEN: usize = 3;
 
 /// Sorts `items` by `key` across up to [`workers`] scoped threads: the
 /// vector is split into one contiguous chunk per worker, each chunk is
-/// `sort_unstable_by_key`ed in place, and the sorted chunks are k-way
-/// merged (smallest key first, ties broken by chunk order, i.e. input
-/// order). Small inputs and single-worker configurations fall through to
+/// `sort_unstable_by_key`ed in place (one [`map_ordered`] item per chunk),
+/// and the sorted chunks are k-way merged (smallest key first, ties broken
+/// by chunk order, i.e. input order). Small inputs and single-worker configurations fall through to
 /// plain `sort_unstable_by_key` with no threads spawned.
 ///
 /// **Determinism:** when no two elements have equal keys (a strict total
@@ -333,23 +324,8 @@ where
         return;
     }
     let chunk = n.div_ceil(w);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [T] = items.as_mut_slice();
-        let mut handles = Vec::new();
-        while rest.len() > chunk {
-            let (head, tail) = rest.split_at_mut(chunk);
-            rest = tail;
-            let key = &key;
-            handles.push(sync::spawn_scoped(scope, move || {
-                head.sort_unstable_by_key(|t| key(t))
-            }));
-        }
-        // The coordinator sorts the final chunk instead of idling.
-        rest.sort_unstable_by_key(|t| key(t));
-        for h in handles {
-            h.join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        }
+    map_ordered(items.chunks_mut(chunk).collect(), |part: &mut [T]| {
+        part.sort_unstable_by_key(|t| key(t))
     });
     // Sequential k-way merge (k = worker count, so a linear scan over the
     // chunk heads beats a heap). `T: Copy` keeps the element moves trivial.
@@ -435,13 +411,17 @@ fn run_item<T, U>(k: usize, item: T, f: &(impl Fn(T) -> U + Sync)) -> Result<U, 
 /// Maps `f` over `items` on up to [`workers`] scoped threads, returning the
 /// results **in input order** regardless of scheduling.
 ///
-/// This is the shared fan-out primitive of the batch drivers (`sfqt1 flow
-/// --batch`, the corpus table): items are claimed from an atomic cursor, so
-/// uneven per-item cost balances automatically, and the order-preserving
-/// merge keeps the observable output bit-identical between sequential and
-/// parallel builds. With one worker (no `parallel` feature, single-core
-/// host, or `SFQ_WORKERS=1`) it degenerates to a plain in-order map with no
-/// thread spawns.
+/// This is the workspace's one chunked fan-out primitive: the batch
+/// drivers (`sfqt1 flow --batch`, the corpus table, Table I) pass one item
+/// per design, and the in-flow sites (detect's passes, the phase-descent
+/// restarts, the margin trials, [`sort_unstable_by_key`]) pass one item per
+/// [`width`]-sized chunk. Items are claimed from an atomic cursor, so
+/// uneven per-item cost balances automatically, every spawn goes through
+/// the crate's `sync` funnel (and so under the `chk` model checker), and
+/// the order-preserving merge keeps the observable output bit-identical for
+/// every worker count. With one worker (a single-core host or
+/// `SFQ_WORKERS=1`) it degenerates to a plain in-order map on the calling
+/// thread with no thread spawns.
 ///
 /// A panicking item no longer aborts its worker: every item runs to a
 /// result either way (see [`map_ordered_caught`]), and the panic of the

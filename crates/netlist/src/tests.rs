@@ -846,9 +846,7 @@ proptest! {
 }
 
 /// The parallel enumeration driver must agree with the sequential
-/// executable specification cut-for-cut on every node. Without the
-/// `parallel` feature both names resolve to the same code path, so the
-/// test then pins simple determinism.
+/// executable specification cut-for-cut on every node.
 #[test]
 fn parallel_enumeration_matches_sequential() {
     let _guard = worker_override_lock();
@@ -911,7 +909,6 @@ fn parallel_enumeration_matches_sequential() {
         // Drive the frontier scheduler directly so it is exercised even
         // below the dispatcher's network-size threshold, at several worker
         // counts (including more workers than the ready frontier can feed).
-        #[cfg(feature = "parallel")]
         for workers in [2usize, 4, 8] {
             let frontier = crate::cuts::enumerate_cuts_frontier(&net, &config, workers);
             assert_eq!(
@@ -1061,9 +1058,6 @@ fn worker_override_lock() -> crate::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-// Forced widths above 1 need the `parallel` feature (`workers()` is
-// constantly 1 without it).
-#[cfg(feature = "parallel")]
 #[test]
 fn width_is_one_below_the_grain() {
     let _guard = worker_override_lock();
@@ -1077,7 +1071,6 @@ fn width_is_one_below_the_grain() {
     assert_eq!(few_items, 3, "never more workers than items");
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn width_is_one_below_the_break_even() {
     let _guard = worker_override_lock();
@@ -1092,7 +1085,6 @@ fn width_is_one_below_the_break_even() {
     assert_eq!(reached, 3);
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn frontier_engages_at_four_forced_workers_but_not_two() {
     let _guard = worker_override_lock();
@@ -1292,6 +1284,9 @@ fn faultpt_err_action_fires_once_per_armed_count() {
 #[test]
 fn faultpt_panic_action_is_contained_by_map_ordered_caught() {
     use crate::faultpt::{arm_limited, disarm, FaultAction};
+    // The chunked sort's forced-worker test also runs `map_ordered` items;
+    // holding the override lock keeps it from consuming this one-shot fault.
+    let _guard = worker_override_lock();
     // `par.item` contexts are decimal input indices.
     arm_limited("par.item", Some("1"), FaultAction::Panic, 1);
     let results = crate::par::map_ordered_caught(vec![10u32, 20, 30], |x| x * 2);

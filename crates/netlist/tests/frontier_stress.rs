@@ -10,7 +10,6 @@
 //! enumeration, the same golden the `chk` schedule exploration in
 //! `tests/chk_models.rs` uses — this stress run covers the wall-clock
 //! schedules the bounded model search cannot.
-#![cfg(feature = "parallel")]
 
 use sfq_netlist::cuts::{enumerate_cuts_frontier, enumerate_cuts_sequential, CutConfig};
 use sfq_netlist::{map_aig, par, Aig, Library};

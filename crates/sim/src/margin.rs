@@ -24,12 +24,10 @@
 //! report is reproducible from its seed without external dependencies.
 //! Every trial draws from its **own** stream, derived from
 //! `(config seed, trial index)` by a splitmix64 step — so the report is
-//! identical however the trial range is partitioned, and the `parallel`
-//! cargo feature can fan trials out over `std::thread::scope` workers
-//! without changing a single sampled value (the registry is unreachable
-//! from this build environment, so the harness uses scoped threads rather
-//! than rayon). Per-trial minima are written into a preallocated slice and
-//! reduced in trial order, keeping even the floating-point accumulation
+//! identical however the trial range is partitioned, and the trials can
+//! fan out over [`sfq_netlist::par::map_ordered`] without changing a single
+//! sampled value. Per-trial minima are written into a preallocated slice
+//! and reduced in trial order, keeping even the floating-point accumulation
 //! order fixed.
 //!
 //! # Example
@@ -207,25 +205,11 @@ fn run_trial(
     (trial_min, trial_hazard)
 }
 
-/// Fills `out[t]` with trial `t`'s `(min separation, hazard)` result.
-#[cfg(not(feature = "parallel"))]
-fn run_trials(
-    t1_sites: &[(u32, Vec<u32>)],
-    spacing: f64,
-    cfg: &MarginConfig,
-    out: &mut [(f64, bool)],
-) {
-    for (t, slot) in out.iter_mut().enumerate() {
-        *slot = run_trial(t1_sites, spacing, cfg, t as u32);
-    }
-}
-
-/// Fills `out[t]` with trial `t`'s result, fanning contiguous chunks out
-/// over as many scoped worker threads as [`sfq_netlist::par::width`] grants
-/// (so `SFQ_WORKERS` and `--workers` bound it like every other fan-out).
-/// Every trial owns its RNG stream, so the results are identical to the
-/// sequential path bit for bit.
-#[cfg(feature = "parallel")]
+/// Fills `out[t]` with trial `t`'s `(min separation, hazard)` result,
+/// fanning contiguous chunks out through [`sfq_netlist::par::map_ordered`]
+/// at the width [`sfq_netlist::par::width`] grants (so `SFQ_WORKERS` and
+/// `--workers` bound it like every other fan-out). Every trial owns its RNG
+/// stream, so the results are identical to the sequential path bit for bit.
 fn run_trials(
     t1_sites: &[(u32, Vec<u32>)],
     spacing: f64,
@@ -245,14 +229,14 @@ fn run_trials(
         return;
     }
     let chunk = out.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (w, slots) in out.chunks_mut(chunk).enumerate() {
-            let base = (w * chunk) as u32;
-            scope.spawn(move || {
-                for (t, slot) in slots.iter_mut().enumerate() {
-                    *slot = run_trial(t1_sites, spacing, cfg, base + t as u32);
-                }
-            });
+    let parts: Vec<(u32, &mut [(f64, bool)])> = out
+        .chunks_mut(chunk)
+        .enumerate()
+        .map(|(w, slots)| ((w * chunk) as u32, slots))
+        .collect();
+    sfq_netlist::par::map_ordered(parts, |(base, slots)| {
+        for (t, slot) in slots.iter_mut().enumerate() {
+            *slot = run_trial(t1_sites, spacing, cfg, base + t as u32);
         }
     });
 }

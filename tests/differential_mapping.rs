@@ -155,9 +155,10 @@ fn assert_equivalent(name: &str, stage: &str, aig: &Aig, net: &Network) {
 }
 
 /// Asserts the dispatching [`enumerate_cuts`] agrees with the sequential
-/// executable specification node-for-node. With `--features parallel` on a
-/// multi-core host (or with `SFQ_WORKERS` forced above 1) this A/Bs the
-/// level-parallel driver; otherwise it pins determinism of the dispatch.
+/// executable specification node-for-node. When the frontier's break-even
+/// width is granted (a host delivering 3+ cores, or `SFQ_WORKERS` forced to
+/// 3 or more) this A/Bs the work-stealing driver; otherwise it pins
+/// determinism of the dispatch.
 fn assert_cuts_match_sequential(name: &str, net: &Network, cut_config: &CutConfig) {
     let ab = enumerate_cuts(net, cut_config);
     let seq = enumerate_cuts_sequential(net, cut_config);
@@ -298,11 +299,8 @@ fn worker_override_lock() -> std::sync::MutexGuard<'static, ()> {
 /// hosts, via `sfq_netlist::par::force_workers` — an atomic, not
 /// `std::env::set_var`, which would race against concurrent `getenv` from
 /// sibling test threads) and re-runs the full differential sweep, so the
-/// level-parallel cut enumeration and the detect fan-outs are A/B-checked
-/// against the sequential specifications whenever the harness is compiled
-/// with `--features parallel` (the CI parallel-features job does exactly
-/// that). Without the feature the override is inert and this repeats the
-/// sequential sweep.
+/// work-stealing cut enumeration and the detect fan-outs are A/B-checked
+/// against the sequential specifications on every host.
 #[test]
 fn differential_forced_parallel_workers() {
     let _guard = worker_override_lock();
@@ -319,10 +317,8 @@ fn differential_forced_parallel_workers() {
 /// must equal the plain single descent, and extra restarts must never make
 /// the result worse. Exercised with the worker override held under
 /// [`worker_override_lock`] so the sequential arm really runs the
-/// sequential loop; with `--features parallel` (the CI parallel-features
-/// job runs this with `SFQ_WORKERS=4`) the forced-4 arm exercises the
-/// scoped fan-out, and without the feature the override is inert and both
-/// arms pin the sequential loop.
+/// sequential loop, and the forced-4 arm exercises the restart fan-out
+/// through `sfq_netlist::par::map_ordered`.
 #[test]
 fn differential_multi_restart_determinism() {
     let _guard = worker_override_lock();
