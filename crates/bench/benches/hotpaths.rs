@@ -1,7 +1,8 @@
 //! Focused criterion benches for the flow's two hottest layers — the
 //! regression gates of the hot-path overhaul (see ISSUE 1 / ROADMAP):
 //!
-//! * `assign_phases/*` — heuristic coordinate descent, T1-detected subjects;
+//! * `assign_phases/*` — heuristic coordinate descent, T1-detected subjects
+//!   (`assign_phases/c7552_4_t1`: the exact MILP engine instead);
 //! * `enumerate_cuts/*` — 3-feasible cut enumeration on mapped networks.
 //!
 //! The IDs deliberately match `substrates.rs` (`assign_phases/adder32_t1`,
@@ -81,6 +82,16 @@ fn bench_hotpaths(c: &mut Criterion) {
     let log2_asg = assign_phases(&log2_det, 4, PhaseEngine::Heuristic).expect("feasible");
     c.bench_function("insert_dffs/log2", |b| {
         b.iter(|| insert_dffs(&log2_det, &log2_asg, 4).expect("insertable"))
+    });
+
+    // The served MILP: c7552 at 4 bits is the corpus's `c7552_mini`, small
+    // enough that `PhaseEngine::Auto` takes the exact engine and runs branch
+    // & bound to its 500-node limit — the gate is the simplex kernel at
+    // work, one LP per node.
+    let (c7552, _) = map_aig(&circuits::c7552_sized(4), &lib).cleaned();
+    let c7552_det = detect_t1(&c7552, &lib, &cut_config).network;
+    c.bench_function("assign_phases/c7552_4_t1", |b| {
+        b.iter(|| assign_phases(&c7552_det, 4, PhaseEngine::Auto).expect("feasible"))
     });
 
     // ISSUE 9 gates. `enumerate_cuts_frontier/log2` drives the

@@ -54,12 +54,13 @@
 use crate::chains::{chain_cost_sorted, plan_chain, ChainDemand};
 use crate::dff::emit_planned;
 use crate::phase::{
-    arrival_key, asap_stages, build_view, clocked_lower_bound, exact_assign, max_output_stage,
-    pack_arrival_key, solve_arrivals, solve_arrivals_rel, ArrivalCache, NetView, OutputTracker,
-    PhaseEngine, PhaseError, StageAssignment, AUTO_NODE_LIMIT, EXACT_NODE_LIMIT,
+    arrival_key, asap_stages, auto_takes_exact, build_view, clocked_lower_bound, exact_assign,
+    max_output_stage, pack_arrival_key, solve_arrivals, solve_arrivals_rel, ArrivalCache, NetView,
+    OutputTracker, PhaseEngine, PhaseError, StageAssignment, AUTO_NODE_LIMIT, EXACT_NODE_LIMIT,
 };
 use crate::timed::TimedNetwork;
 use sfq_netlist::{CellId, CellKind, Network, Signal};
+use sfq_solver::MilpSolution;
 
 // ======================================================================
 // Window-relative arrival memo (open addressing)
@@ -975,31 +976,28 @@ impl<'a> TimingEngine<'a> {
                 self.optimize(restarts);
                 Ok(self.assignment())
             }
-            PhaseEngine::Exact => self.exact(EXACT_NODE_LIMIT),
+            PhaseEngine::Exact => self.exact(EXACT_NODE_LIMIT).map(|(asg, _)| asg),
+            PhaseEngine::Auto if auto_takes_exact(self.core.net, self.core.view.t1_cells.len()) => {
+                self.exact(AUTO_NODE_LIMIT).map(|(asg, _)| asg)
+            }
             PhaseEngine::Auto => {
-                let clocked = self
-                    .core
-                    .net
-                    .cell_ids()
-                    .filter(|&c| self.core.net.kind(c).is_clocked())
-                    .count();
-                if clocked <= 40 && self.core.view.t1_cells.len() <= 4 {
-                    self.exact(AUTO_NODE_LIMIT)
-                } else {
-                    self.optimize(restarts);
-                    Ok(self.assignment())
-                }
+                self.optimize(restarts);
+                Ok(self.assignment())
             }
         }
     }
 
     /// Exact MILP refinement: descend for the warm-start incumbent, solve,
-    /// and reload the engine state from the solution.
-    fn exact(&mut self, node_limit: usize) -> Result<StageAssignment, PhaseError> {
+    /// and reload the engine state from the solution. Returns the solver's
+    /// [`MilpSolution`] too, for its work counters.
+    pub(crate) fn exact(
+        &mut self,
+        node_limit: usize,
+    ) -> Result<(StageAssignment, MilpSolution), PhaseError> {
         self.descend();
         let seed = self.assignment();
         let cache = ArrivalCache::new();
-        let asg = exact_assign(
+        let (asg, sol) = exact_assign(
             self.core.net,
             &self.core.view,
             self.core.n,
@@ -1008,7 +1006,7 @@ impl<'a> TimingEngine<'a> {
             seed,
         )?;
         self.seed(&asg)?;
-        Ok(asg)
+        Ok((asg, sol))
     }
 
     /// Total chain-DFF cost of the current state (the quantity DFF

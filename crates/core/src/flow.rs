@@ -195,25 +195,8 @@ pub fn run_flow_on_network(net: &Network, config: &FlowConfig) -> Result<FlowRes
         .map_err(|e| FlowError::BadInput(e.to_string()))?;
     let (clean, _) = net.cleaned();
 
-    // Stage 1: T1 detection. A T1 cell needs three pairwise-distinct
-    // arrival slots inside its input window of n−1 stages, so with n < 4
-    // candidates are still *found* (reported) but none can commit.
     stage_gate("flow.detect", clean.name())?;
-    let (subject, t1_found, t1_used) = if config.use_t1 {
-        let det = detect_t1_with_threshold(
-            &clean,
-            &config.library,
-            &config.cut_config,
-            config.gain_threshold,
-        );
-        if config.phases >= 4 {
-            (det.network, det.found, det.used)
-        } else {
-            (clean.clone(), det.found, 0)
-        }
-    } else {
-        (clean.clone(), 0, 0)
-    };
+    let (subject, t1_found, t1_used) = detect_stage(&clean, config);
 
     // Stages 2 + 3: phase assignment and DFF insertion share one
     // incremental timing engine — the winning descent state's arrivals and
@@ -243,6 +226,28 @@ pub fn run_flow_on_network(net: &Network, config: &FlowConfig) -> Result<FlowRes
         depth_cycles: timed.depth_cycles(),
     };
     Ok(FlowResult { timed, report })
+}
+
+/// Stage 1: T1 detection on the cleaned network. Returns the subject of
+/// phase assignment plus the found/used T1 counts. A T1 cell needs three
+/// pairwise-distinct arrival slots inside its input window of n−1 stages,
+/// so with n < 4 candidates are still *found* (reported) but none can
+/// commit.
+pub(crate) fn detect_stage(clean: &Network, config: &FlowConfig) -> (Network, usize, usize) {
+    if !config.use_t1 {
+        return (clean.clone(), 0, 0);
+    }
+    let det = detect_t1_with_threshold(
+        clean,
+        &config.library,
+        &config.cut_config,
+        config.gain_threshold,
+    );
+    if config.phases >= 4 {
+        (det.network, det.found, det.used)
+    } else {
+        (clean.clone(), det.found, 0)
+    }
 }
 
 /// Bit-parallel equivalence check on deterministic pseudo-random patterns.

@@ -70,7 +70,7 @@
 
 use crate::chains::chain_cost_sorted;
 use sfq_netlist::{CellId, CellKind, Network, Signal, T1_NUM_PORTS};
-use sfq_solver::{Cmp, MilpProblem, SolverError};
+use sfq_solver::{Cmp, MilpProblem, MilpSolution, SolverError};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -697,30 +697,30 @@ pub fn assign_phases_reference(
         return Err(PhaseError::TooFewPhasesForT1 { phases: n });
     }
     let cache = ArrivalCache::new();
-    match engine {
-        PhaseEngine::Exact => {
-            let seed = heuristic_assign(net, &view, n as u32, &cache);
-            exact_assign(net, &view, n as u32, EXACT_NODE_LIMIT, &cache, seed)
+    let node_limit = match engine {
+        PhaseEngine::Exact => EXACT_NODE_LIMIT,
+        PhaseEngine::Auto if auto_takes_exact(net, view.t1_cells.len()) => AUTO_NODE_LIMIT,
+        PhaseEngine::Heuristic | PhaseEngine::Auto => {
+            return Ok(heuristic_assign(net, &view, n as u32, &cache))
         }
-        PhaseEngine::Heuristic => Ok(heuristic_assign(net, &view, n as u32, &cache)),
-        PhaseEngine::Auto => {
-            // Calibrated with the `profile_flow` binary: the exact engine is
-            // sub-second up to ~40 clocked cells at n = 1 or n ≥ 4, but each
-            // T1 cell adds three big-M ordering booleans whose branching
-            // dominates, and intermediate phase counts (n = 2, 3) blow up
-            // the optimality proof (314 s on a 38-gate adder at n = 3). Auto
-            // therefore runs the exact engine under a small node budget —
-            // warm-started from the heuristic incumbent it can only improve
-            // on it — and falls back to the heuristic outright at scale.
-            let clocked = net.cell_ids().filter(|&c| net.kind(c).is_clocked()).count();
-            if clocked <= 40 && view.t1_cells.len() <= 4 {
-                let seed = heuristic_assign(net, &view, n as u32, &cache);
-                exact_assign(net, &view, n as u32, AUTO_NODE_LIMIT, &cache, seed)
-            } else {
-                Ok(heuristic_assign(net, &view, n as u32, &cache))
-            }
-        }
-    }
+    };
+    let seed = heuristic_assign(net, &view, n as u32, &cache);
+    exact_assign(net, &view, n as u32, node_limit, &cache, seed).map(|(asg, _)| asg)
+}
+
+/// Whether [`PhaseEngine::Auto`] runs the bounded exact engine on `net`
+/// (carrying `t1_cells` T1 cells) rather than the heuristic alone.
+///
+/// Calibrated with the `profile_flow` binary: the exact engine is
+/// sub-second up to ~40 clocked cells at n = 1 or n ≥ 4, but each T1 cell
+/// adds three big-M ordering booleans whose branching dominates, and
+/// intermediate phase counts (n = 2, 3) blow up the optimality proof (314 s
+/// on a 38-gate adder at n = 3). Auto therefore runs the exact engine under
+/// a small node budget — warm-started from the heuristic incumbent it can
+/// only improve on it — and falls back to the heuristic outright at scale.
+pub(crate) fn auto_takes_exact(net: &Network, t1_cells: usize) -> bool {
+    let clocked = net.cell_ids().filter(|&c| net.kind(c).is_clocked()).count();
+    clocked <= 40 && t1_cells <= 4
 }
 
 /// Node budget of [`PhaseEngine::Exact`]: enough to prove optimality on
@@ -728,16 +728,22 @@ pub fn assign_phases_reference(
 pub(crate) const EXACT_NODE_LIMIT: usize = 200_000;
 
 /// Node budget of [`PhaseEngine::Auto`]'s bounded-effort exact runs:
-/// bounds any single phase assignment to ~1 s (each node re-solves an LP,
-/// ≈ 2 ms on 40-cell instances) while still closing small gaps over the
-/// heuristic incumbent — on the adder8 probe, 500 nodes keep the full
-/// n = 2 improvement (77 → 71 DFFs) found by the unbounded engine.
+/// bounds any single phase assignment to about a quarter second (each node
+/// re-solves an LP, ≈ 0.5 ms on 40-cell instances: the criterion gate
+/// `assign_phases/c7552_4_t1`, whose 264-row LPs average 112 pivots, runs
+/// all 500 nodes in 220–340 ms on a 2-vCPU Xeon) while still closing small
+/// gaps over the heuristic incumbent — on the adder8 probe, 500 nodes keep
+/// the full n = 2 improvement (77 → 71 DFFs) found by the unbounded
+/// engine.
 pub(crate) const AUTO_NODE_LIMIT: usize = 500;
 
 // ======================================================================
 // Exact MILP engine
 // ======================================================================
 
+/// Solves the phase-assignment MILP warm-started from `seed`. The solver's
+/// [`MilpSolution`] rides along with the assignment so its work counters
+/// (`nodes`, `lp_pivots`) can pin the branch-and-bound path in tests.
 pub(crate) fn exact_assign(
     net: &Network,
     view: &NetView,
@@ -745,7 +751,7 @@ pub(crate) fn exact_assign(
     node_limit: usize,
     cache: &ArrivalCache,
     seed: StageAssignment,
-) -> Result<StageAssignment, PhaseError> {
+) -> Result<(StageAssignment, MilpSolution), PhaseError> {
     // The caller's heuristic solution (the reference descent or the timing
     // engine's — bit-identical by contract) seeds branch & bound: it is
     // always feasible, so the MILP starts with a strong incumbent and mostly
@@ -896,10 +902,11 @@ pub(crate) fn exact_assign(
         stages[id.0 as usize] = sol.int_value(*var) as u32;
     }
     let output_stage = sol.int_value(sigma_out) as u32;
-    Ok(StageAssignment {
+    let asg = StageAssignment {
         stages,
         output_stage,
-    })
+    };
+    Ok((asg, sol))
 }
 
 /// Longest clocked path (edge count) from each cell to any primary output.

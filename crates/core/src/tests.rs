@@ -787,6 +787,101 @@ proptest! {
     }
 }
 
+// -------------------------------------------------- MILP fingerprints ----
+
+/// The branch-and-bound path of every corpus flow that takes the exact
+/// engine, pinned by its work counters. Any change to the simplex kernel or
+/// the node loop that alters a single pivot, prune or branch moves
+/// `lp_pivots` or `nodes` — so a kernel rewrite that claims bit-identical
+/// results has to keep this table unchanged.
+mod milp_fingerprint {
+    use crate::engine::TimingEngine;
+    use crate::flow::{detect_stage, FlowConfig};
+    use crate::phase::{auto_takes_exact, AUTO_NODE_LIMIT};
+    use sfq_netlist::{map_aig, Design, DesignFormat};
+    use sfq_solver::MilpStatus;
+
+    /// `(design, flow, nodes, lp_pivots, objective, status)`.
+    type Fingerprint = (&'static str, &'static str, usize, usize, f64, MilpStatus);
+
+    // adder8/mult4 under T1 and c7552_mini/mult4 under 4φ exceed the Auto
+    // gate and run the heuristic alone.
+    const PINNED: &[Fingerprint] = &[
+        ("adder8.aag", "4phi", 23, 1901, 24.0, MilpStatus::Optimal),
+        (
+            "c7552_mini.aag",
+            "t1",
+            500,
+            55897,
+            11.0,
+            MilpStatus::FeasibleLimit,
+        ),
+        ("mux8.blif", "t1", 1, 39, 1.0, MilpStatus::Optimal),
+        ("mux8.blif", "4phi", 1, 39, 1.0, MilpStatus::Optimal),
+        ("parity12.aag", "t1", 11, 180, 10.0, MilpStatus::Optimal),
+        ("parity12.aag", "4phi", 11, 180, 10.0, MilpStatus::Optimal),
+        ("square4.blif", "t1", 17, 1255, 5.0, MilpStatus::Optimal),
+        ("square4.blif", "4phi", 55, 3955, 9.0, MilpStatus::Optimal),
+        ("voter7.blif", "t1", 1, 49, 0.0, MilpStatus::Optimal),
+        ("voter7.blif", "4phi", 1, 34, 0.0, MilpStatus::Optimal),
+    ];
+
+    #[test]
+    fn corpus_milp_search_paths_are_pinned() {
+        let files = [
+            ("adder8.aag", include_str!("../../bench/corpus/adder8.aag")),
+            (
+                "c7552_mini.aag",
+                include_str!("../../bench/corpus/c7552_mini.aag"),
+            ),
+            ("mult4.aag", include_str!("../../bench/corpus/mult4.aag")),
+            ("mux8.blif", include_str!("../../bench/corpus/mux8.blif")),
+            (
+                "parity12.aag",
+                include_str!("../../bench/corpus/parity12.aag"),
+            ),
+            (
+                "square4.blif",
+                include_str!("../../bench/corpus/square4.blif"),
+            ),
+            (
+                "voter7.blif",
+                include_str!("../../bench/corpus/voter7.blif"),
+            ),
+        ];
+        let mut got: Vec<Fingerprint> = Vec::new();
+        for (file, text) in files {
+            let (stem, ext) = file.rsplit_once('.').expect("corpus file has an extension");
+            let format = match ext {
+                "aag" => DesignFormat::Aag,
+                _ => DesignFormat::Blif,
+            };
+            let design = Design::parse(text, format, stem).expect("corpus design parses");
+            for (flow, config) in [
+                ("t1", FlowConfig::t1(4)),
+                ("4phi", FlowConfig::multiphase(4)),
+            ] {
+                let (clean, _) = map_aig(&design.aig, &config.library).cleaned();
+                let (subject, _, _) = detect_stage(&clean, &config);
+                let mut engine = TimingEngine::new(&subject, config.phases).expect("phases ok");
+                if !auto_takes_exact(&subject, engine.num_t1()) {
+                    continue;
+                }
+                let (_, sol) = engine.exact(AUTO_NODE_LIMIT).expect("MILP solves");
+                got.push((
+                    file,
+                    flow,
+                    sol.nodes,
+                    sol.lp_pivots,
+                    sol.objective,
+                    sol.status,
+                ));
+            }
+        }
+        assert_eq!(got, PINNED, "{got:#?}");
+    }
+}
+
 // ------------------------------------------------------- supervision ----
 
 mod supervision {

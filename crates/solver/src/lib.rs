@@ -7,7 +7,10 @@
 //!
 //! * [`MilpProblem`] — minimize a linear objective over continuous and
 //!   integer variables with linear constraints. Solved by branch & bound
-//!   over a dense two-phase primal [`simplex`] with Bland's rule.
+//!   over a two-phase primal [`simplex`] with Bland's rule, whose pivots
+//!   touch only the pivot row's nonzeros — the same pivot sequence as a
+//!   dense tableau, at a fraction of the work on the flow's sparse
+//!   formulations.
 //! * [`CpModel`] — bounded integer variables, linear constraints,
 //!   `all_different`, and branch-and-bound minimization with bounds
 //!   propagation.

@@ -33,6 +33,9 @@ pub struct MilpSolution {
     pub status: MilpStatus,
     /// Branch-and-bound nodes explored.
     pub nodes: usize,
+    /// Simplex pivots summed over every node's LP, infeasible ones
+    /// included — with `nodes`, a fingerprint of the search path.
+    pub lp_pivots: usize,
 }
 
 impl MilpSolution {
@@ -195,7 +198,10 @@ impl MilpProblem {
                 incumbent = Some((self.lp.objective_value(ws), ws.clone()));
             }
         }
+        // One working LP; each node overwrites every bound before solving.
+        let mut lp = self.lp.clone();
         let mut nodes = 0usize;
+        let mut lp_pivots = 0usize;
         let mut hit_limit = false;
 
         while let Some(node) = stack.pop() {
@@ -209,18 +215,13 @@ impl MilpProblem {
                     continue; // pruned by bound
                 }
             }
-            let mut lp = self.lp.clone();
+            if node.bounds.iter().any(|&(lb, ub)| lb > ub + INT_TOL) {
+                continue; // empty box
+            }
             for (v, &(lb, ub)) in node.bounds.iter().enumerate() {
-                if lb > ub + INT_TOL {
-                    // Empty box.
-                    continue;
-                }
                 lp.set_bounds(v, lb, ub);
             }
-            if node.bounds.iter().any(|&(lb, ub)| lb > ub + INT_TOL) {
-                continue;
-            }
-            let sol = match lp.solve() {
+            let sol = match lp.solve_counted(&mut lp_pivots) {
                 Ok(s) => s,
                 Err(SolverError::Infeasible) => continue,
                 Err(e) => return Err(e),
@@ -304,6 +305,7 @@ impl MilpProblem {
                     MilpStatus::Optimal
                 },
                 nodes,
+                lp_pivots,
             }),
             None => {
                 if hit_limit {

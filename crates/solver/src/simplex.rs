@@ -1,11 +1,19 @@
-//! Dense two-phase primal simplex for linear programs.
+//! Two-phase primal simplex for linear programs.
 //!
 //! Variables carry finite lower bounds (shifted to zero internally) and
 //! optional finite upper bounds (added as explicit rows). Bland's rule makes
 //! the iteration finite; a generous iteration cap guards against numerical
-//! pathologies. The implementation favours clarity and robustness over
-//! speed — the MILP layer above solves one dense LP per branch-and-bound
-//! node, and the flow only sends it compact formulations.
+//! pathologies.
+//!
+//! The tableau is stored dense, but each pivot only does the work the
+//! flow's sparse formulations need: the pivot row's nonzero columns are
+//! collected once and only those are eliminated, and only in the rows
+//! whose pivot-column entry is nonzero; pricing sums only over rows whose
+//! basic variable has a nonzero cost. Every floating-point operation a
+//! comparison can see runs in the order a dense textbook tableau would run
+//! it, so the pivot sequence — and with it each branch & bound search above
+//! — is exactly the dense kernel's. Skipped entries are `x − f·0`, which
+//! can at most flip the sign of a zero.
 
 use std::fmt;
 
@@ -67,10 +75,14 @@ pub struct LpSolution {
     pub values: Vec<f64>,
     /// Solve status (always [`LpStatus::Optimal`] when returned as `Ok`).
     pub status: LpStatus,
+    /// Tableau pivots performed (phase 1, artificial drive-out and
+    /// phase 2) — a work counter that pins the pivot path.
+    pub pivots: usize,
 }
 
 #[derive(Debug, Clone)]
 struct Constraint {
+    /// Merged terms: ascending variable order, nonzero coefficients only.
     terms: Vec<(usize, f64)>,
     cmp: Cmp,
     rhs: f64,
@@ -126,8 +138,21 @@ impl LpProblem {
     ///
     /// Terms may repeat a variable; coefficients accumulate.
     pub fn add_constraint(&mut self, terms: &[(usize, f64)], cmp: Cmp, rhs: f64) {
+        // Merge once, here, in ascending variable order: every solve then
+        // sums a row's bound shift in that one order. A stable sort keeps
+        // a repeated variable's coefficients in call order.
+        let mut sorted = terms.to_vec();
+        sorted.sort_by_key(|&(v, _)| v);
+        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(sorted.len());
+        for (v, a) in sorted {
+            match merged.last_mut() {
+                Some((last, sum)) if *last == v => *sum += a,
+                _ => merged.push((v, a)),
+            }
+        }
+        merged.retain(|&(_, a)| a.abs() > 0.0);
         self.constraints.push(Constraint {
-            terms: terms.to_vec(),
+            terms: merged,
             cmp,
             rhs,
         });
@@ -185,6 +210,12 @@ impl LpProblem {
     /// [`SolverError::Infeasible`], [`SolverError::Unbounded`],
     /// [`SolverError::IterationLimit`] or [`SolverError::BadBounds`].
     pub fn solve(&self) -> Result<LpSolution, SolverError> {
+        self.solve_counted(&mut 0)
+    }
+
+    /// [`solve`](Self::solve), adding every pivot to `pivots` whatever the
+    /// outcome — branch & bound counts the work of infeasible nodes too.
+    pub(crate) fn solve_counted(&self, pivots: &mut usize) -> Result<LpSolution, SolverError> {
         let n = self.num_vars();
         for v in 0..n {
             if !self.lower[v].is_finite() || self.lower[v] > self.upper[v] + TOL {
@@ -193,125 +224,89 @@ impl LpProblem {
         }
 
         // Shift x = lb + x', x' ≥ 0; collect rows (including ub rows).
-        #[derive(Clone)]
-        struct Row {
-            coefs: Vec<(usize, f64)>,
-            cmp: Cmp,
-            rhs: f64,
-        }
-        let mut rows: Vec<Row> = Vec::with_capacity(self.constraints.len() + n);
+        let unit_rows: Vec<(usize, f64)> = (0..n)
+            .filter(|&v| self.upper[v].is_finite())
+            .map(|v| (v, 1.0))
+            .collect();
+        let mut rows: Vec<Row<'_>> = Vec::with_capacity(self.constraints.len() + unit_rows.len());
         for c in &self.constraints {
             let mut shift = 0.0;
-            let mut dense: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
             for &(v, a) in &c.terms {
-                *dense.entry(v).or_insert(0.0) += a;
+                shift += a * self.lower[v];
             }
-            let mut coefs: Vec<(usize, f64)> = Vec::with_capacity(dense.len());
-            for (&v, &a) in &dense {
-                if a.abs() > 0.0 {
-                    coefs.push((v, a));
-                    shift += a * self.lower[v];
-                }
-            }
-            coefs.sort_by_key(|&(v, _)| v);
-            rows.push(Row {
-                coefs,
-                cmp: c.cmp,
-                rhs: c.rhs - shift,
-            });
+            rows.push(Row::new(&c.terms, c.cmp, c.rhs - shift));
         }
-        for v in 0..n {
-            if self.upper[v].is_finite() {
-                let span = self.upper[v] - self.lower[v];
-                rows.push(Row {
-                    coefs: vec![(v, 1.0)],
-                    cmp: Cmp::Le,
-                    rhs: span,
-                });
-            }
+        for unit in &unit_rows {
+            let span = self.upper[unit.0] - self.lower[unit.0];
+            rows.push(Row::new(std::slice::from_ref(unit), Cmp::Le, span));
         }
 
-        // Normalize RHS ≥ 0.
-        for r in rows.iter_mut() {
-            if r.rhs < 0.0 {
-                for t in r.coefs.iter_mut() {
-                    t.1 = -t.1;
-                }
-                r.rhs = -r.rhs;
-                r.cmp = match r.cmp {
-                    Cmp::Le => Cmp::Ge,
-                    Cmp::Ge => Cmp::Le,
-                    Cmp::Eq => Cmp::Eq,
-                };
-            }
-        }
-
-        let m = rows.len();
         // Columns: structural (n) + slacks + artificials.
         let num_slacks = rows.iter().filter(|r| r.cmp != Cmp::Eq).count();
-        let num_artificials = rows.iter().filter(|r| r.cmp != Cmp::Le).count();
-        let total = n + num_slacks + num_artificials;
-
-        let mut tab = vec![vec![0.0f64; total + 1]; m];
-        let mut basis = vec![usize::MAX; m];
-        let mut artificial_cols: Vec<usize> = Vec::new();
-        let mut slack_idx = n;
-        let mut art_idx = n + num_slacks;
+        let first_artificial = n + num_slacks;
+        let total = first_artificial + rows.iter().filter(|r| r.cmp != Cmp::Le).count();
+        let mut tab = Tableau::new(rows.len(), total);
+        let (mut slack, mut artificial) = (n, first_artificial);
         for (i, r) in rows.iter().enumerate() {
-            for &(v, a) in &r.coefs {
-                tab[i][v] = a;
+            let row = &mut tab.rows[i];
+            for &(v, a) in r.terms {
+                row[v] = if r.negated { -a } else { a };
             }
-            tab[i][total] = r.rhs;
-            match r.cmp {
+            row[total] = r.rhs;
+            let basic = match r.cmp {
                 Cmp::Le => {
-                    tab[i][slack_idx] = 1.0;
-                    basis[i] = slack_idx;
-                    slack_idx += 1;
+                    row[slack] = 1.0;
+                    slack += 1;
+                    slack - 1
                 }
                 Cmp::Ge => {
-                    tab[i][slack_idx] = -1.0;
-                    slack_idx += 1;
-                    tab[i][art_idx] = 1.0;
-                    basis[i] = art_idx;
-                    artificial_cols.push(art_idx);
-                    art_idx += 1;
+                    row[slack] = -1.0;
+                    slack += 1;
+                    row[artificial] = 1.0;
+                    artificial += 1;
+                    artificial - 1
                 }
                 Cmp::Eq => {
-                    tab[i][art_idx] = 1.0;
-                    basis[i] = art_idx;
-                    artificial_cols.push(art_idx);
-                    art_idx += 1;
+                    row[artificial] = 1.0;
+                    artificial += 1;
+                    artificial - 1
                 }
-            }
+            };
+            tab.set_basic(i, basic);
         }
 
+        let result = self.two_phase(&mut tab, first_artificial);
+        *pivots += tab.pivots;
+        result
+    }
+
+    /// Runs both simplex phases on the initial tableau and reads out the
+    /// solution. Artificial columns are `first_artificial..`.
+    fn two_phase(
+        &self,
+        tab: &mut Tableau,
+        first_artificial: usize,
+    ) -> Result<LpSolution, SolverError> {
+        let n = self.num_vars();
+        let m = tab.basis.len();
+        let total = tab.columns;
         let max_iter = 2000 + 200 * (m + total);
 
         // ---- phase 1 ----
-        if !artificial_cols.is_empty() {
+        if first_artificial < total {
             let mut cost = vec![0.0f64; total];
-            for &c in &artificial_cols {
-                cost[c] = 1.0;
-            }
-            let obj = run_simplex(&mut tab, &mut basis, &cost, total, max_iter, None)?;
+            cost[first_artificial..].fill(1.0);
+            let obj = tab.run_simplex(&cost, total, max_iter)?;
             if obj > 1e-6 {
                 return Err(SolverError::Infeasible);
             }
-            // Drive remaining artificials out of the basis.
-            let art_set: std::collections::HashSet<usize> =
-                artificial_cols.iter().copied().collect();
+            // Drive remaining artificials out of the basis. A redundant row
+            // has no structural or slack entry left: its artificial stays
+            // basic at zero, never to re-enter (phase 2 does not price it).
             for i in 0..m {
-                if art_set.contains(&basis[i]) {
-                    let mut pivoted = false;
-                    for j in 0..n + num_slacks {
-                        if tab[i][j].abs() > TOL {
-                            pivot(&mut tab, &mut basis, i, j);
-                            pivoted = true;
-                            break;
-                        }
-                    }
-                    if !pivoted {
-                        // Redundant row: zero it (leave artificial basic at 0).
+                if tab.basis[i] >= first_artificial {
+                    if let Some(j) = (0..first_artificial).find(|&j| tab.rows[i][j].abs() > TOL) {
+                        tab.pivot(i, j);
                     }
                 }
             }
@@ -320,14 +315,13 @@ impl LpProblem {
         // ---- phase 2 ----
         let mut cost = vec![0.0f64; total];
         cost[..n].copy_from_slice(&self.objective);
-        let banned: std::collections::HashSet<usize> = artificial_cols.iter().copied().collect();
-        let obj = run_simplex(&mut tab, &mut basis, &cost, total, max_iter, Some(&banned))?;
+        let obj = tab.run_simplex(&cost, first_artificial, max_iter)?;
 
         // Read out structural values (undo the shift).
         let mut values = vec![0.0f64; n];
         for i in 0..m {
-            if basis[i] < n {
-                values[basis[i]] = tab[i][total];
+            if tab.basis[i] < n {
+                values[tab.basis[i]] = tab.rows[i][total];
             }
         }
         for (v, value) in values.iter_mut().enumerate() {
@@ -338,102 +332,178 @@ impl LpProblem {
             objective: obj + shift_obj,
             values,
             status: LpStatus::Optimal,
+            pivots: tab.pivots,
         })
     }
 }
 
-/// Runs primal simplex with Bland's rule on the tableau.
-///
-/// Bland's first-improving-column rule needs more pivots than steeper
-/// pricing on paper, but it is cycle-free and — measured on this crate's
-/// branch-and-bound workloads — beats Dantzig pricing, whose steepest
-/// columns thrash on the highly degenerate scheduling polytopes the flow
-/// produces.
-///
-/// Returns the final objective value of `cost` over the basic solution.
-fn run_simplex(
-    tab: &mut [Vec<f64>],
-    basis: &mut [usize],
-    cost: &[f64],
-    total: usize,
-    max_iter: usize,
-    banned: Option<&std::collections::HashSet<usize>>,
-) -> Result<f64, SolverError> {
-    let m = tab.len();
-    for _iter in 0..max_iter {
-        // Reduced costs: d_j = c_j - c_B · column_j.
-        let cb: Vec<f64> = basis.iter().map(|&b| cost[b]).collect();
-        let in_basis: Vec<bool> = {
-            let mut v = vec![false; total];
-            for &b in basis.iter() {
-                if b < total {
-                    v[b] = true;
-                }
-            }
-            v
+/// One tableau row before it is laid out: shifted, and negated when its
+/// right-hand side was negative so that every row starts with `rhs ≥ 0`.
+struct Row<'a> {
+    terms: &'a [(usize, f64)],
+    negated: bool,
+    cmp: Cmp,
+    rhs: f64,
+}
+
+impl<'a> Row<'a> {
+    fn new(terms: &'a [(usize, f64)], cmp: Cmp, rhs: f64) -> Self {
+        let negated = rhs < 0.0;
+        let cmp = match (negated, cmp) {
+            (true, Cmp::Le) => Cmp::Ge,
+            (true, Cmp::Ge) => Cmp::Le,
+            (_, cmp) => cmp,
         };
-        let mut entering: Option<usize> = None;
-        for j in 0..total {
-            if in_basis[j] || banned.is_some_and(|s| s.contains(&j)) {
-                continue;
-            }
-            let mut d = cost[j];
-            for i in 0..m {
-                if cb[i] != 0.0 {
-                    d -= cb[i] * tab[i][j];
-                }
-            }
-            if d < -TOL {
-                entering = Some(j); // Bland: first improving column
-                break;
-            }
+        Row {
+            terms,
+            negated,
+            cmp,
+            rhs: if negated { -rhs } else { rhs },
         }
-        let Some(j) = entering else {
-            // Optimal: compute objective.
-            let mut obj = 0.0;
-            for i in 0..m {
-                obj += cost[basis[i]] * tab[i][total];
+    }
+}
+
+/// A simplex tableau: each row holds `columns` cells followed by its
+/// right-hand side.
+///
+/// Rows are separate allocations on purpose. One flat buffer is about
+/// 1 MB on the flow's largest served MILP; freeing a block that size makes
+/// glibc raise its mmap and trim thresholds, after which every allocator
+/// arena the daemon's threads use keeps a megabyte or two resident. Rows
+/// of a few kilobytes are recycled like any small allocation, and pivots
+/// index a row once per touched row either way.
+struct Tableau {
+    rows: Vec<Vec<f64>>,
+    columns: usize,
+    /// Basic column of each row.
+    basis: Vec<usize>,
+    /// Whether a column is basic, kept in step with `basis`.
+    in_basis: Vec<bool>,
+    /// Reused buffer: the current pivot row's nonzero columns.
+    support: Vec<usize>,
+    /// Reused buffer: `(row, basic cost)` of rows whose basic cost is nonzero.
+    costed: Vec<(usize, f64)>,
+    /// Pivots performed so far.
+    pivots: usize,
+}
+
+impl Tableau {
+    /// An all-zero tableau of `rows` rows over `columns` columns, with no
+    /// basis yet (every row gets one through [`Tableau::set_basic`]).
+    fn new(rows: usize, columns: usize) -> Self {
+        Tableau {
+            rows: vec![vec![0.0; columns + 1]; rows],
+            columns,
+            basis: vec![usize::MAX; rows],
+            in_basis: vec![false; columns],
+            support: Vec::new(),
+            costed: Vec::new(),
+            pivots: 0,
+        }
+    }
+
+    fn set_basic(&mut self, row: usize, col: usize) {
+        if let Some(was_basic) = self.in_basis.get_mut(self.basis[row]) {
+            *was_basic = false;
+        }
+        self.basis[row] = col;
+        self.in_basis[col] = true;
+    }
+
+    /// Runs primal simplex with Bland's rule, pricing columns `0..price`.
+    ///
+    /// Bland's first-improving-column rule needs more pivots than steeper
+    /// pricing on paper, but it is cycle-free and — measured on this crate's
+    /// branch-and-bound workloads — beats Dantzig pricing, whose steepest
+    /// columns thrash on the highly degenerate scheduling polytopes the flow
+    /// produces.
+    ///
+    /// Returns the final objective value of `cost` over the basic solution.
+    fn run_simplex(
+        &mut self,
+        cost: &[f64],
+        price: usize,
+        max_iter: usize,
+    ) -> Result<f64, SolverError> {
+        let rhs = self.columns;
+        for _iter in 0..max_iter {
+            // Reduced costs: d_j = c_j - c_B · column_j, summed in ascending
+            // row order over the rows whose basic cost is nonzero.
+            self.costed.clear();
+            for (i, &b) in self.basis.iter().enumerate() {
+                if cost[b] != 0.0 {
+                    self.costed.push((i, cost[b]));
+                }
             }
-            return Ok(obj);
-        };
-        // Ratio test (Bland tie-break on smallest basis column).
-        let mut leave: Option<(usize, f64)> = None;
-        for i in 0..m {
-            if tab[i][j] > TOL {
-                let ratio = tab[i][total] / tab[i][j];
-                match leave {
-                    None => leave = Some((i, ratio)),
-                    Some((li, lr)) => {
-                        if ratio < lr - TOL || (ratio < lr + TOL && basis[i] < basis[li]) {
-                            leave = Some((i, ratio));
+            let (rows, costed, in_basis) = (&self.rows, &self.costed, &self.in_basis);
+            let entering = (0..price).find(|&j| {
+                if in_basis[j] {
+                    return false;
+                }
+                let mut d = cost[j];
+                for &(i, cb) in costed {
+                    d -= cb * rows[i][j];
+                }
+                d < -TOL // Bland: first improving column
+            });
+            let Some(j) = entering else {
+                // Optimal: compute objective.
+                let mut obj = 0.0;
+                for (i, &b) in self.basis.iter().enumerate() {
+                    obj += cost[b] * rows[i][rhs];
+                }
+                return Ok(obj);
+            };
+            // Ratio test (Bland tie-break on smallest basis column).
+            let mut leave: Option<(usize, f64)> = None;
+            for (i, row) in rows.iter().enumerate() {
+                let a = row[j];
+                if a > TOL {
+                    let ratio = row[rhs] / a;
+                    match leave {
+                        None => leave = Some((i, ratio)),
+                        Some((li, lr)) => {
+                            if ratio < lr - TOL
+                                || (ratio < lr + TOL && self.basis[i] < self.basis[li])
+                            {
+                                leave = Some((i, ratio));
+                            }
                         }
                     }
                 }
             }
+            let Some((i, _)) = leave else {
+                return Err(SolverError::Unbounded);
+            };
+            self.pivot(i, j);
         }
-        let Some((i, _)) = leave else {
-            return Err(SolverError::Unbounded);
-        };
-        pivot(tab, basis, i, j);
+        Err(SolverError::IterationLimit)
     }
-    Err(SolverError::IterationLimit)
-}
 
-fn pivot(tab: &mut [Vec<f64>], basis: &mut [usize], row: usize, col: usize) {
-    let width = tab[0].len();
-    let p = tab[row][col];
-    for x in tab[row].iter_mut() {
-        *x /= p;
-    }
-    let (before, rest) = tab.split_at_mut(row);
-    let (pivot_row, after) = rest.split_first_mut().expect("row index in range");
-    for r in before.iter_mut().chain(after.iter_mut()) {
-        let f = r[col];
-        if f != 0.0 {
-            for (x, &p) in r.iter_mut().zip(pivot_row.iter()).take(width) {
-                *x -= f * p;
+    /// Pivots `col` into the basis at `row`: divides the pivot row, then
+    /// eliminates `col` from every other row whose entry there is nonzero,
+    /// touching only the pivot row's nonzero columns.
+    fn pivot(&mut self, row: usize, col: usize) {
+        let Tableau { rows, support, .. } = self;
+        let (above, rest) = rows.split_at_mut(row);
+        let (pivot_row, below) = rest.split_first_mut().expect("pivot row in range");
+        let p = pivot_row[col];
+        support.clear();
+        for (k, x) in pivot_row.iter_mut().enumerate() {
+            *x /= p;
+            if *x != 0.0 {
+                support.push(k);
             }
         }
+        for r in above.iter_mut().chain(below.iter_mut()) {
+            let f = r[col];
+            if f != 0.0 {
+                for &k in support.iter() {
+                    r[k] -= f * pivot_row[k];
+                }
+            }
+        }
+        self.set_basic(row, col);
+        self.pivots += 1;
     }
-    basis[row] = col;
 }

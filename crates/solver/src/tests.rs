@@ -1,6 +1,6 @@
 use crate::cp::{CpModel, CpStatus};
 use crate::milp::{MilpProblem, MilpStatus};
-use crate::simplex::{Cmp, LpProblem, SolverError};
+use crate::simplex::{Cmp, LpProblem, LpSolution, SolverError};
 use proptest::prelude::*;
 
 // ------------------------------------------------------------------ LP ----
@@ -92,6 +92,112 @@ fn lp_degenerate_no_cycle() {
         (sol.objective + 0.05).abs() < 1e-4,
         "beale cycling example optimum"
     );
+}
+
+// ------------------------------------------- kernel edge paths (pinned) ----
+//
+// The simplex kernel must follow one pivot sequence bit for bit: branch &
+// bound's node order, and so every golden, hangs on it. These LPs each
+// steer the kernel down one edge path; their values, objective and pivot
+// count are pinned as IEEE-754 bit patterns.
+
+/// `(objective bits, value bits, pivots)` of a solve.
+fn lp_bits(sol: &LpSolution) -> (u64, Vec<u64>, usize) {
+    (
+        sol.objective.to_bits(),
+        sol.values.iter().map(|v| v.to_bits()).collect(),
+        sol.pivots,
+    )
+}
+
+/// The same fingerprint from shortest-round-trip literals.
+fn pinned(objective: f64, values: &[f64], pivots: usize) -> (u64, Vec<u64>, usize) {
+    (
+        objective.to_bits(),
+        values.iter().map(|v| v.to_bits()).collect(),
+        pivots,
+    )
+}
+
+#[test]
+fn lp_redundant_equality_keeps_its_artificial_basic() {
+    // The second equality is twice the first: phase 1 zeroes its row, no
+    // structural or slack column can drive the artificial out, and it
+    // stays basic (at zero) through phase 2.
+    let mut lp = LpProblem::new();
+    let x = lp.add_var(0.5, 10.0, -1.0);
+    let y = lp.add_var(0.0, 10.0, 0.3);
+    let z = lp.add_var(0.0, 4.0, -3.0);
+    lp.add_constraint(&[(x, 1.0), (y, 1.0), (z, 2.0)], Cmp::Eq, 7.5);
+    lp.add_constraint(&[(x, 2.0), (y, 2.0), (z, 4.0)], Cmp::Eq, 15.0);
+    lp.add_constraint(&[(x, 1.0), (z, -1.0)], Cmp::Ge, 0.25);
+    let pin = pinned(
+        -9.916666666666668,
+        &[2.666666666666667, 0.0, 2.4166666666666665],
+        2,
+    );
+    assert_eq!(lp_bits(&lp.solve().unwrap()), pin);
+}
+
+#[test]
+fn lp_dense_pivot_row_has_no_zero_to_skip() {
+    // One ≥ row over every variable and no upper bounds: the tableau has a
+    // single row in which every column (structural, surplus, artificial,
+    // right-hand side) is nonzero, and Bland walks four columns through it.
+    let mut lp = LpProblem::new();
+    let cost = [5.0, 3.0, 1.7, 0.9];
+    let coef = [1.0, 0.9, 0.7, 0.45];
+    let vars: Vec<usize> = cost
+        .iter()
+        .map(|&c| lp.add_var(0.0, f64::INFINITY, c))
+        .collect();
+    let terms: Vec<(usize, f64)> = vars.iter().zip(coef).map(|(&v, a)| (v, a)).collect();
+    lp.add_constraint(&terms, Cmp::Ge, 3.3);
+    let pin = pinned(6.6, &[0.0, 0.0, 0.0, 7.333333333333333], 4);
+    assert_eq!(lp_bits(&lp.solve().unwrap()), pin);
+}
+
+#[test]
+fn lp_degenerate_ratio_tie_goes_to_the_smaller_basic_column() {
+    // Both rows hit ratio 0 when x enters. Row 0's basic column is its
+    // artificial, row 1's is its slack — a smaller index — so Bland's
+    // tie-break picks the later row, not the first one scanned.
+    let mut lp = LpProblem::new();
+    let x = lp.add_var(0.0, f64::INFINITY, -1.0);
+    let y = lp.add_var(0.0, f64::INFINITY, -2.0);
+    lp.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Ge, 0.0);
+    lp.add_constraint(&[(x, 1.0), (y, -3.0)], Cmp::Le, 0.0);
+    lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+    let pin = pinned(-6.0, &[2.0, 2.0], 4);
+    assert_eq!(lp_bits(&lp.solve().unwrap()), pin);
+}
+
+#[test]
+fn lp_solves_are_bitwise_reproducible() {
+    // Fractional coefficients against nonzero lower bounds: each row's
+    // bound shift Σ aᵢ·lbᵢ rounds differently in different summation
+    // orders, so the rows must be merged in one fixed (variable) order.
+    let mut lp = LpProblem::new();
+    let vars: Vec<usize> = (0..8)
+        .map(|i| lp.add_var(0.5 + 0.3 * i as f64, 20.0, 0.1 * (i % 3) as f64 - 0.15))
+        .collect();
+    for r in 0..6 {
+        let terms: Vec<(usize, f64)> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (v, 0.1 * ((i + r) % 7 + 1) as f64))
+            .collect();
+        lp.add_constraint(&terms, Cmp::Le, 9.7 + 1.3 * r as f64);
+    }
+    lp.add_constraint(
+        &[(vars[0], 0.3), (vars[5], 0.7), (vars[7], 0.1)],
+        Cmp::Ge,
+        3.9,
+    );
+    let first = lp_bits(&lp.solve().unwrap());
+    for _ in 1..200 {
+        assert_eq!(lp_bits(&lp.solve().unwrap()), first);
+    }
 }
 
 // ---------------------------------------------------------------- MILP ----
