@@ -3,7 +3,8 @@
 //!
 //! * `assign_phases/*` — heuristic coordinate descent, T1-detected subjects
 //!   (`assign_phases/c7552_4_t1`: the exact MILP engine instead);
-//! * `enumerate_cuts/*` — 3-feasible cut enumeration on mapped networks.
+//! * `enumerate_cuts/*` — 3-feasible cut enumeration on mapped networks;
+//! * `simulate/log2_1phi` — the equivalence check's multi-word simulation.
 //!
 //! The IDs deliberately match `substrates.rs` (`assign_phases/adder32_t1`,
 //! `enumerate_cuts/adder32`) so historical numbers stay comparable, with
@@ -11,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use sfq_circuits as circuits;
-use sfq_core::{assign_phases, detect_t1, insert_dffs, PhaseEngine};
+use sfq_core::{assign_phases, detect_t1, insert_dffs, run_flow, FlowConfig, PhaseEngine};
 use sfq_netlist::{enumerate_cuts, map_aig, CutConfig, Library};
 
 fn bench_hotpaths(c: &mut Criterion) {
@@ -82,6 +83,22 @@ fn bench_hotpaths(c: &mut Criterion) {
     let log2_asg = assign_phases(&log2_det, 4, PhaseEngine::Heuristic).expect("feasible");
     c.bench_function("insert_dffs/log2", |b| {
         b.iter(|| insert_dffs(&log2_det, &log2_asg, 4).expect("insertable"))
+    });
+
+    // The verify stage's simulation kernel: the flow's 4-word equivalence
+    // check evaluates the timed network once across all words. The 1φ timed
+    // log2 (~181k cells, mostly path-balancing DFFs) is its largest
+    // network in Table I.
+    let log2_1phi = run_flow(&log2_aig, &FlowConfig::single_phase())
+        .expect("flow")
+        .timed
+        .network;
+    let words = 4;
+    let pats: Vec<u64> = (0..(words * log2_1phi.num_inputs()) as u64)
+        .map(|i| i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    c.bench_function("simulate/log2_1phi", |b| {
+        b.iter(|| log2_1phi.simulate_words(&pats, words))
     });
 
     // The served MILP: c7552 at 4 bits is the corpus's `c7552_mini`, small

@@ -1050,3 +1050,188 @@ mod supervision {
         );
     }
 }
+
+// ------------------------------------------------------- equivalence ----
+
+mod equivalence {
+    use super::ripple_adder_aig;
+    use crate::flow::{check_equivalence, detect_stage, run_flow, FlowConfig, FlowError};
+    use sfq_netlist::{map_aig, CellId, CellKind, GateKind, Library, Network};
+
+    /// `net` rebuilt cell by cell in index order, with gate `target`
+    /// replaced by `mutate(kind)`. Flow networks are index-ordered, so every
+    /// cell keeps its id.
+    fn with_mutated_gate(
+        net: &Network,
+        target: CellId,
+        mutate: fn(GateKind) -> GateKind,
+    ) -> Network {
+        let mut out = Network::new(net.name());
+        for id in net.cell_ids() {
+            let fanins = net.fanins(id);
+            assert!(fanins.iter().all(|f| f.cell < id), "index-ordered");
+            let got = match net.kind(id) {
+                CellKind::Input => {
+                    let k = net.inputs().iter().position(|&i| i == id).unwrap();
+                    out.add_input(net.input_name(k)).cell
+                }
+                CellKind::Gate(g) if id == target => out.add_gate(mutate(g), fanins).cell,
+                CellKind::Gate(g) => out.add_gate(g, fanins).cell,
+                CellKind::T1 { used_ports } => out.add_t1(used_ports, fanins),
+                CellKind::Dff => out.add_dff(fanins[0]).cell,
+            };
+            assert_eq!(got, id);
+        }
+        for (k, &o) in net.outputs().iter().enumerate() {
+            out.add_output(net.output_name(k), o);
+        }
+        out
+    }
+
+    fn complement(g: GateKind) -> GateKind {
+        match g {
+            GateKind::Inv => GateKind::Buf,
+            GateKind::Buf => GateKind::Inv,
+            GateKind::And2 => GateKind::Nand2,
+            GateKind::Nand2 => GateKind::And2,
+            GateKind::Or2 => GateKind::Nor2,
+            GateKind::Nor2 => GateKind::Or2,
+            GateKind::Xor2 => GateKind::Xnor2,
+            GateKind::Xnor2 => GateKind::Xor2,
+        }
+    }
+
+    /// A pattern-dependent fault: the output differs only where the
+    /// operands do (or agree), not on every vector.
+    fn swap_and_or(g: GateKind) -> GateKind {
+        match g {
+            GateKind::And2 => GateKind::Or2,
+            GateKind::Or2 => GateKind::And2,
+            GateKind::Nand2 => GateKind::Nor2,
+            GateKind::Nor2 => GateKind::Nand2,
+            GateKind::Xor2 => GateKind::And2,
+            GateKind::Xnor2 => GateKind::Or2,
+            other => complement(other),
+        }
+    }
+
+    /// The verify stage's per-word specification: one one-word `simulate`
+    /// per network and word, over the same xorshift* stream. Returns every
+    /// differing `(word, output)` in word-major order; the check must report
+    /// the output of the first.
+    fn per_word_mismatches(a: &Network, b: &Network, words: usize) -> Vec<(usize, usize)> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            state
+        };
+        let mut diffs = Vec::new();
+        for w in 0..words {
+            let pats: Vec<u64> = (0..a.num_inputs()).map(|_| next()).collect();
+            let (ra, rb) = (a.simulate(&pats), b.simulate(&pats));
+            diffs.extend((0..ra.len()).filter(|&k| ra[k] != rb[k]).map(|k| (w, k)));
+        }
+        diffs
+    }
+
+    fn is_index_ordered(net: &Network) -> bool {
+        net.cell_ids()
+            .all(|c| net.fanins(c).iter().all(|f| f.cell < c))
+    }
+
+    /// Simulation, levels and validation skip Kahn on index-ordered
+    /// networks; every network the flow builds must be one.
+    #[test]
+    fn flow_networks_are_index_ordered() {
+        let aig = ripple_adder_aig(8);
+        let mapped = map_aig(&aig, &Library::default());
+        let (clean, _) = mapped.cleaned();
+        assert!(is_index_ordered(&mapped) && is_index_ordered(&clean));
+        for config in [
+            FlowConfig::single_phase(),
+            FlowConfig::multiphase(4),
+            FlowConfig::t1(4),
+        ] {
+            let (subject, _, _) = detect_stage(&clean, &config);
+            assert!(is_index_ordered(&subject));
+            let timed = run_flow(&aig, &config).expect("flow").timed.network;
+            assert!(is_index_ordered(&timed));
+        }
+    }
+
+    #[test]
+    fn not_equivalent_reports_the_per_word_first_mismatch() {
+        let aig = ripple_adder_aig(4);
+        let lib = Library::default();
+        let (clean, _) = map_aig(&aig, &lib).cleaned();
+        let mut mismatches = 0;
+        let mut late_outputs = 0;
+        for config in [FlowConfig::single_phase(), FlowConfig::t1(4)] {
+            let timed = run_flow(&aig, &config).expect("flow").timed.network;
+            assert!(check_equivalence(&clean, &timed, 4).is_ok());
+            let gates: Vec<CellId> = timed
+                .cell_ids()
+                .filter(|&c| matches!(timed.kind(c), CellKind::Gate(_)))
+                .collect();
+            assert!(!gates.is_empty());
+            for &g in &gates {
+                for mutate in [complement, swap_and_or] {
+                    let broken = with_mutated_gate(&timed, g, mutate);
+                    for words in [1, 4, 7] {
+                        let want = per_word_mismatches(&clean, &broken, words)
+                            .first()
+                            .map(|&(_, k)| k);
+                        match check_equivalence(&clean, &broken, words) {
+                            Ok(()) => assert_eq!(want, None, "c{} words={words}", g.0),
+                            Err(FlowError::NotEquivalent { output }) => {
+                                assert_eq!(want, Some(output), "c{} words={words}", g.0);
+                                mismatches += 1;
+                                late_outputs += usize::from(output > 0);
+                            }
+                            Err(e) => panic!("unexpected {e}"),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(mismatches > 0 && late_outputs > 0);
+    }
+
+    /// `y0` differs only on the rare vectors with every input set, `y1` on
+    /// every vector: for some input counts `y0` first differs in a later
+    /// word than `y1`, and the earliest word must win over the lowest
+    /// output.
+    #[test]
+    fn not_equivalent_prefers_the_earliest_word_over_the_lowest_output() {
+        let mut discriminating = 0;
+        for k in 4..=12 {
+            let mut a = Network::new("and");
+            let mut b = Network::new("zero");
+            let xs: Vec<_> = (0..k).map(|i| a.add_input(format!("x{i}"))).collect();
+            for i in 0..k {
+                b.add_input(format!("x{i}"));
+            }
+            let all = xs[1..]
+                .iter()
+                .fold(xs[0], |acc, &x| a.add_gate(GateKind::And2, &[acc, x]));
+            a.add_output("y0", all);
+            let x0 = a.add_gate(GateKind::Buf, &[xs[0]]);
+            a.add_output("y1", x0);
+            let not_x0 = b.add_gate(GateKind::Inv, &[xs[0]]);
+            let zero = b.add_gate(GateKind::And2, &[xs[0], not_x0]);
+            b.add_output("y0", zero);
+            b.add_output("y1", not_x0);
+            let words = 7;
+            let diffs = per_word_mismatches(&a, &b, words);
+            let Err(FlowError::NotEquivalent { output }) = check_equivalence(&a, &b, words) else {
+                panic!("y1 differs on every vector");
+            };
+            assert_eq!(Some(output), diffs.first().map(|&(_, k)| k), "k={k}");
+            discriminating += usize::from(output == 1 && diffs.iter().any(|&(_, k)| k == 0));
+        }
+        assert!(discriminating > 0);
+    }
+}

@@ -169,6 +169,12 @@ impl GateKind {
 
     /// Evaluates the gate on concrete input bits.
     pub fn eval(self, a: bool, b: bool) -> bool {
+        self.eval_word(u64::from(a), u64::from(b)) & 1 == 1
+    }
+
+    /// Evaluates the gate bitwise on 64 vectors at once.
+    #[inline]
+    pub fn eval_word(self, a: u64, b: u64) -> u64 {
         match self {
             GateKind::Inv => !a,
             GateKind::Buf => a,

@@ -19,11 +19,23 @@
 //!   survives as [`Network::cleaned_reference`], the executable
 //!   specification checked by `tests/differential_mapping.rs` (criterion
 //!   gate `cleaned/multiplier12`: 61 µs → 50 µs).
-//! * [`Network::simulate`] resolves input cells through a dense
-//!   per-cell pattern-index table, and [`Network::cone_function`] memoizes
-//!   pin values in a flat `(cell × port)` byte table reset through a touch
+//! * [`Network::simulate_words`] is the one evaluator: it evaluates each
+//!   cell once across all pattern words into a flat per-pin table (a T1
+//!   cell owns five consecutive pins, every other cell one), and
+//!   [`Network::simulate`] is its one-word call. The flow's equivalence
+//!   check simulates each network once for all its words instead of once
+//!   per word (criterion gate `simulate/log2_1phi`, 4 words over the 1φ
+//!   timed log2 on a 2-vCPU x86-64 Xeon: 22 ms as four one-word calls,
+//!   3.7 ms in one pass). [`Network::cone_function`] memoizes pin
+//!   values in a flat `(cell × port)` byte table reset through a touch
 //!   list — no per-row `HashMap` churn.
-//! * [`Network::topological_order`] is a flat-CSR Kahn sweep (PR 1).
+//! * [`Network::topological_order`] is a flat-CSR Kahn sweep. The
+//!   order-independent passes — simulation, [`Network::levels`] and the
+//!   acyclicity half of [`Network::validate`] — skip it when every fanin id
+//!   is below its cell's id, which holds for every network the flow builds
+//!   (mapping, `cleaned`, T1 detection, DFF emission); index order is then
+//!   already topological. Only a network built with forward references
+//!   pays for Kahn.
 
 use crate::cell::{CellKind, GateKind, Library, T1Port, T1_NUM_PORTS};
 use sfq_tt::TruthTable;
@@ -517,6 +529,7 @@ impl Network {
     /// # Errors
     /// Returns the first problem found.
     pub fn validate(&self) -> Result<(), NetworkError> {
+        let mut index_ordered = true;
         for (i, cell) in self.cells.iter().enumerate() {
             let id = CellId(i as u32);
             let expected = cell.kind.arity();
@@ -534,6 +547,7 @@ impl Network {
                 if !self.port_is_available(f) {
                     return Err(NetworkError::BadPort { cell: id, fanin: f });
                 }
+                index_ordered &= (f.cell.0 as usize) < i;
             }
         }
         for &i in &self.inputs {
@@ -549,7 +563,10 @@ impl Network {
                 });
             }
         }
-        self.topological_order()?;
+        // An index-ordered network is acyclic; only forward fanins need Kahn.
+        if !index_ordered {
+            self.topological_order()?;
+        }
         Ok(())
     }
 
@@ -563,7 +580,8 @@ impl Network {
     }
 
     /// Bit-parallel functional simulation ignoring timing: `patterns[i]`
-    /// carries 64 vectors for input `i`; returns one word per output.
+    /// carries 64 vectors for input `i`; returns one word per output. The
+    /// one-word call of [`Network::simulate_words`].
     ///
     /// DFFs are treated as transparent (pure retiming elements), so the
     /// result is the steady-state combinational function — the reference
@@ -572,68 +590,111 @@ impl Network {
     /// # Panics
     /// Panics if `patterns.len() != num_inputs()` or the network is cyclic.
     pub fn simulate(&self, patterns: &[u64]) -> Vec<u64> {
+        self.simulate_words(patterns, 1)
+    }
+
+    /// [`Network::simulate`] over `words` pattern words in one pass.
+    /// `patterns` is word-major — word `w` of input `i` is
+    /// `patterns[w * num_inputs() + i]` — and so is the result: word `w` of
+    /// output `k` is at `w * num_outputs() + k`. Equal, word for word, to
+    /// `words` one-word calls.
+    ///
+    /// Each cell is evaluated once across all words into a flat per-pin
+    /// table. Cells are visited in index order when every fanin id is below
+    /// its cell's id (true of every network the flow builds), and in
+    /// [`Network::topological_order`] otherwise.
+    ///
+    /// # Panics
+    /// Panics if `patterns.len() != words * num_inputs()` or the network is
+    /// cyclic.
+    pub fn simulate_words(&self, patterns: &[u64], words: usize) -> Vec<u64> {
+        let ni = self.inputs.len();
         assert_eq!(
             patterns.len(),
-            self.inputs.len(),
-            "one pattern word per input"
+            words * ni,
+            "one pattern word per input and word"
         );
-        let order = self.topological_order().expect("network must be acyclic");
-        let mut values = vec![[0u64; T1_NUM_PORTS]; self.cells.len()];
-        // Dense input-cell → pattern-index table (no hash probe per input).
-        let mut input_index = vec![usize::MAX; self.cells.len()];
-        for (k, &id) in self.inputs.iter().enumerate() {
-            input_index[id.0 as usize] = k;
+        // Pin `p` of cell `i` is pin `first_pin[i] + p`; its `words` values
+        // are contiguous in `values`.
+        let mut first_pin = Vec::with_capacity(self.cells.len());
+        let mut pins = 0usize;
+        for cell in &self.cells {
+            first_pin.push(pins as u32);
+            pins += cell.kind.num_ports();
         }
-        for id in order {
-            let cell = &self.cells[id.0 as usize];
-            let read = |s: Signal, values: &Vec<[u64; T1_NUM_PORTS]>| -> u64 {
-                values[s.cell.0 as usize][s.port as usize]
-            };
-            match cell.kind {
-                CellKind::Input => {
-                    values[id.0 as usize][0] = patterns[input_index[id.0 as usize]];
-                }
-                CellKind::Gate(g) => {
-                    let a = read(cell.fanins[0], &values);
-                    let b = if g.arity() == 2 {
-                        read(cell.fanins[1], &values)
-                    } else {
-                        0
-                    };
-                    values[id.0 as usize][0] = match g {
-                        GateKind::Inv => !a,
-                        GateKind::Buf => a,
-                        GateKind::And2 => a & b,
-                        GateKind::Or2 => a | b,
-                        GateKind::Xor2 => a ^ b,
-                        GateKind::Nand2 => !(a & b),
-                        GateKind::Nor2 => !(a | b),
-                        GateKind::Xnor2 => !(a ^ b),
-                    };
-                }
-                CellKind::T1 { .. } => {
-                    let a = read(cell.fanins[0], &values);
-                    let b = read(cell.fanins[1], &values);
-                    let c = read(cell.fanins[2], &values);
-                    let xor3 = a ^ b ^ c;
-                    let maj3 = (a & b) | (a & c) | (b & c);
-                    let or3 = a | b | c;
-                    let v = &mut values[id.0 as usize];
-                    v[T1Port::S.index() as usize] = xor3;
-                    v[T1Port::C.index() as usize] = maj3;
-                    v[T1Port::Q.index() as usize] = or3;
-                    v[T1Port::NotC.index() as usize] = !maj3;
-                    v[T1Port::NotQ.index() as usize] = !or3;
-                }
-                CellKind::Dff => {
-                    values[id.0 as usize][0] = read(cell.fanins[0], &values);
-                }
+        let slot = |s: Signal| (first_pin[s.cell.0 as usize] as usize + s.port as usize) * words;
+        let mut values = vec![0u64; pins * words];
+        for (k, &id) in self.inputs.iter().enumerate() {
+            let at = slot(Signal::from_cell(id));
+            for w in 0..words {
+                values[at + w] = patterns[w * ni + k];
             }
         }
-        self.outputs
+        self.visit_topological(|i| {
+            let cell = &self.cells[i];
+            let at = first_pin[i] as usize * words;
+            match cell.kind {
+                CellKind::Input => {}
+                CellKind::Gate(g) => {
+                    let a = slot(cell.fanins[0]);
+                    let b = if g.arity() == 2 {
+                        slot(cell.fanins[1])
+                    } else {
+                        a
+                    };
+                    for w in 0..words {
+                        values[at + w] = g.eval_word(values[a + w], values[b + w]);
+                    }
+                }
+                CellKind::T1 { .. } => {
+                    let [a, b, c] = cell.fanins.map(slot);
+                    for w in 0..words {
+                        let (x, y, z) = (values[a + w], values[b + w], values[c + w]);
+                        let maj3 = (x & y) | (x & z) | (y & z);
+                        let or3 = x | y | z;
+                        let port = |p: T1Port| at + p.index() as usize * words + w;
+                        values[port(T1Port::S)] = x ^ y ^ z;
+                        values[port(T1Port::C)] = maj3;
+                        values[port(T1Port::Q)] = or3;
+                        values[port(T1Port::NotC)] = !maj3;
+                        values[port(T1Port::NotQ)] = !or3;
+                    }
+                }
+                CellKind::Dff => {
+                    let a = slot(cell.fanins[0]);
+                    values.copy_within(a..a + words, at);
+                }
+            }
+        });
+        let mut out = Vec::with_capacity(words * self.outputs.len());
+        for w in 0..words {
+            out.extend(self.outputs.iter().map(|&o| values[slot(o) + w]));
+        }
+        out
+    }
+
+    /// True when every fanin id is below its cell's id, so index order is
+    /// a topological order.
+    fn is_index_ordered(&self) -> bool {
+        self.cells
             .iter()
-            .map(|o| values[o.cell.0 as usize][o.port as usize])
-            .collect()
+            .enumerate()
+            .all(|(i, cell)| cell.fanins().iter().all(|f| (f.cell.0 as usize) < i))
+    }
+
+    /// Calls `visit` with every cell index in a topological order: index
+    /// order when the network is index-ordered, else the Kahn order of
+    /// [`Network::topological_order`].
+    ///
+    /// # Panics
+    /// Panics if the network is cyclic.
+    fn visit_topological(&self, mut visit: impl FnMut(usize)) {
+        if self.is_index_ordered() {
+            (0..self.cells.len()).for_each(visit);
+        } else {
+            let order = self.topological_order().expect("network must be acyclic");
+            order.into_iter().for_each(|id| visit(id.0 as usize));
+        }
     }
 
     /// Logic level of every cell: inputs at 0, every clocked cell one above
@@ -642,19 +703,18 @@ impl Network {
     /// # Panics
     /// Panics if the network is cyclic.
     pub fn levels(&self) -> Vec<u32> {
-        let order = self.topological_order().expect("network must be acyclic");
         let mut lv = vec![0u32; self.cells.len()];
-        for id in order {
-            let cell = &self.cells[id.0 as usize];
+        self.visit_topological(|i| {
+            let cell = &self.cells[i];
             if cell.kind.is_clocked() && cell.num_fanins != 0 {
-                lv[id.0 as usize] = 1 + cell
+                lv[i] = 1 + cell
                     .fanins()
                     .iter()
                     .map(|f| lv[f.cell.0 as usize])
                     .max()
                     .unwrap();
             }
-        }
+        });
         lv
     }
 

@@ -4,7 +4,7 @@ use crate::cell::{CellKind, GateKind, Library, T1Port};
 use crate::cuts::{enumerate_cuts, CutConfig};
 use crate::mapper::map_aig;
 use crate::mffc::{mffc_area, mffc_nodes, reference_counts};
-use crate::network::{Network, NetworkError, Signal};
+use crate::network::{CellId, Network, NetworkError, Signal};
 use proptest::prelude::*;
 use sfq_tt::TruthTable;
 
@@ -308,6 +308,240 @@ fn network_area_counts_cells_and_splitters() {
 fn network_depth() {
     let net = full_adder_net();
     assert_eq!(net.depth(), 3); // xor→xor for sum; xor→and→or for carry
+}
+
+/// [`full_adder_net`] built through precomputed forward signals: cells
+/// 3..8 are `co, s, ab, t, axb`, so `co`, `s` and `t` read higher ids and
+/// index order is not topological. `FA_FORWARD_TO_ORDERED[i]` is the id of
+/// forward cell `i` in `full_adder_net`.
+fn full_adder_net_forward() -> Network {
+    let fwd = |i: u32| Signal::from_cell(CellId(i));
+    let mut net = Network::new("fa_fwd");
+    let a = net.add_input("a");
+    let b = net.add_input("b");
+    let c = net.add_input("c");
+    let co = net.add_gate(GateKind::Or2, &[fwd(5), fwd(6)]);
+    let s = net.add_gate(GateKind::Xor2, &[fwd(7), c]);
+    assert_eq!(net.add_gate(GateKind::And2, &[a, b]), fwd(5));
+    assert_eq!(net.add_gate(GateKind::And2, &[fwd(7), c]), fwd(6));
+    assert_eq!(net.add_gate(GateKind::Xor2, &[a, b]), fwd(7));
+    net.add_output("s", s);
+    net.add_output("co", co);
+    net
+}
+
+const FA_FORWARD_TO_ORDERED: [usize; 8] = [0, 1, 2, 7, 4, 5, 6, 3];
+
+#[test]
+fn forward_referencing_network_takes_the_kahn_fallback() {
+    let (fwd, ordered) = (full_adder_net_forward(), full_adder_net());
+    fwd.validate().unwrap();
+    let pats = [
+        0xAAAA_AAAA_AAAA_AAAAu64,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0x0123_4567_89AB_CDEF,
+        0xFEDC_BA98_7654_3210,
+        0x5555_0000_FFFF_3333,
+    ];
+    assert_eq!(fwd.simulate(&pats[..3]), ordered.simulate(&pats[..3]));
+    assert_eq!(
+        fwd.simulate_words(&pats, 2),
+        ordered.simulate_words(&pats, 2)
+    );
+    let (lf, lo) = (fwd.levels(), ordered.levels());
+    for (i, &j) in FA_FORWARD_TO_ORDERED.iter().enumerate() {
+        assert_eq!(lf[i], lo[j], "cell c{i}");
+    }
+    assert_eq!(fwd.depth(), ordered.depth());
+}
+
+/// An XOR and an inverter feeding each other, and an inverter feeding
+/// itself.
+fn cyclic_nets() -> [Network; 2] {
+    let mut ring = Network::new("ring");
+    let a = ring.add_input("a");
+    let x = ring.add_gate(GateKind::Xor2, &[a, Signal::from_cell(CellId(2))]);
+    assert_eq!(ring.add_gate(GateKind::Inv, &[x]).cell, CellId(2));
+    ring.add_output("x", x);
+    let mut self_loop = Network::new("self_loop");
+    self_loop.add_input("a");
+    let y = self_loop.add_gate(GateKind::Inv, &[Signal::from_cell(CellId(1))]);
+    self_loop.add_output("y", y);
+    [ring, self_loop]
+}
+
+#[test]
+fn cyclic_network_is_rejected_by_validate() {
+    for net in cyclic_nets() {
+        assert_eq!(net.validate(), Err(NetworkError::Cyclic), "{}", net.name());
+    }
+}
+
+#[test]
+#[should_panic(expected = "acyclic")]
+fn cyclic_network_simulation_panics() {
+    let [ring, _] = cyclic_nets();
+    ring.simulate(&[0xF0]);
+}
+
+/// One cell of a random simulation-test network; sources are `(node, port)`
+/// pins of earlier nodes.
+#[derive(Debug, Clone, Copy)]
+enum SimNode {
+    Input,
+    Gate(GateKind, [(usize, u8); 2]),
+    T1([(usize, u8); 3]),
+    Dff((usize, u8)),
+}
+
+const SIM_INPUTS: usize = 4;
+
+/// Grows a random DAG of gates, T1 cells (all five ports readable) and DFF
+/// chains from `ops`: `(0|1, k)` adds a gate, `(2, k)` a T1 cell and
+/// `(3, k)` a chain of one to three DFFs, with `k` picking kinds,
+/// chain lengths and sources. Returns the nodes and every non-input pin.
+fn random_sim_nodes(ops: &[(u8, u64)]) -> (Vec<SimNode>, Vec<(usize, u8)>) {
+    let mut nodes = vec![SimNode::Input; SIM_INPUTS];
+    let mut pins: Vec<(usize, u8)> = (0..SIM_INPUTS).map(|i| (i, 0)).collect();
+    for &(op, k) in ops {
+        let mut r = k;
+        let mut pick = || {
+            let p = pins[(r % pins.len() as u64) as usize];
+            r = r.rotate_right(11).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            p
+        };
+        let node = match op {
+            0 | 1 => {
+                let g = GateKind::ALL[(k >> 56) as usize % 8];
+                SimNode::Gate(g, [pick(), pick()])
+            }
+            2 => SimNode::T1([pick(), pick(), pick()]),
+            _ => {
+                let mut src = pick();
+                for _ in 0..(k >> 60) % 3 {
+                    nodes.push(SimNode::Dff(src));
+                    src = (nodes.len() - 1, 0);
+                    pins.push(src);
+                }
+                SimNode::Dff(src)
+            }
+        };
+        nodes.push(node);
+        let id = nodes.len() - 1;
+        let ports = if matches!(node, SimNode::T1(_)) { 5 } else { 1 };
+        pins.extend((0..ports).map(|p| (id, p)));
+    }
+    let outputs = pins.split_off(SIM_INPUTS);
+    (nodes, outputs)
+}
+
+/// Builds `nodes` as a [`Network`] whose non-input cells are laid out in
+/// `order` (a permutation of the non-input node indices): fanins are
+/// precomputed signals, so any order but the identity references forward
+/// ids. Returns the network and each node's cell id.
+fn build_sim_network(
+    nodes: &[SimNode],
+    outputs: &[(usize, u8)],
+    order: &[usize],
+) -> (Network, Vec<usize>) {
+    let mut id_of = vec![0; nodes.len()];
+    for (i, id) in id_of.iter_mut().enumerate().take(SIM_INPUTS) {
+        *id = i;
+    }
+    for (pos, &node) in order.iter().enumerate() {
+        id_of[node] = SIM_INPUTS + pos;
+    }
+    let sig = |(node, port): (usize, u8)| Signal {
+        cell: CellId(id_of[node] as u32),
+        port,
+    };
+    let mut net = Network::new("sim");
+    for i in 0..SIM_INPUTS {
+        net.add_input(format!("x{i}"));
+    }
+    for &node in order {
+        match nodes[node] {
+            SimNode::Input => unreachable!("inputs come first"),
+            SimNode::Gate(g, src) => {
+                net.add_gate(g, &src.map(sig)[..g.arity()]);
+            }
+            SimNode::T1(src) => {
+                net.add_t1(0b11111, &src.map(sig));
+            }
+            SimNode::Dff(src) => {
+                net.add_dff(sig(src));
+            }
+        }
+    }
+    for (k, &o) in outputs.iter().enumerate() {
+        net.add_output(format!("y{k}"), sig(o));
+    }
+    (net, id_of)
+}
+
+/// Direct evaluation of `nodes` on one word per input: the specification
+/// the network simulation is checked against.
+fn eval_sim_nodes(nodes: &[SimNode], outputs: &[(usize, u8)], pats: &[u64]) -> Vec<u64> {
+    let mut v: Vec<[u64; 5]> = Vec::with_capacity(nodes.len());
+    for (i, node) in nodes.iter().enumerate() {
+        let read = |v: &[[u64; 5]], (n, p): (usize, u8)| v[n][p as usize];
+        let pin = match *node {
+            SimNode::Input => [pats[i]; 5],
+            SimNode::Gate(g, [a, b]) => [g.eval_word(read(&v, a), read(&v, b)); 5],
+            SimNode::T1(src) => {
+                let [a, b, c] = src.map(|s| read(&v, s));
+                let (maj, or) = ((a & b) | (a & c) | (b & c), a | b | c);
+                [a ^ b ^ c, maj, or, !maj, !or]
+            }
+            SimNode::Dff(src) => [read(&v, src); 5],
+        };
+        v.push(pin);
+    }
+    outputs.iter().map(|&(n, p)| v[n][p as usize]).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `simulate_words(p, W)` equals W one-word `simulate` calls and the
+    /// direct evaluation, on index-ordered and on permuted (forward-
+    /// referencing) construction of the same random network; validation
+    /// and levels agree across both constructions.
+    #[test]
+    fn prop_simulate_words_matches_per_word_simulation(
+        ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..40),
+        seed in any::<u64>(),
+    ) {
+        let (nodes, outputs) = random_sim_nodes(&ops);
+        let mut rng = proptest::TestRng::new(seed);
+        let identity: Vec<usize> = (SIM_INPUTS..nodes.len()).collect();
+        let mut shuffled = identity.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let pats: Vec<u64> = (0..7 * SIM_INPUTS).map(|_| rng.next_u64()).collect();
+        let (ordered, ordered_ids) = build_sim_network(&nodes, &outputs, &identity);
+        let (permuted, permuted_ids) = build_sim_network(&nodes, &outputs, &shuffled);
+        let (lo, lp) = (ordered.levels(), permuted.levels());
+        for n in 0..nodes.len() {
+            prop_assert_eq!(lo[ordered_ids[n]], lp[permuted_ids[n]]);
+        }
+        for net in [&ordered, &permuted] {
+            prop_assert!(net.validate().is_ok());
+            for words in [1, 2, 4, 7] {
+                let got = net.simulate_words(&pats[..words * SIM_INPUTS], words);
+                let mut per_word = Vec::new();
+                let mut spec = Vec::new();
+                for w in pats[..words * SIM_INPUTS].chunks(SIM_INPUTS) {
+                    per_word.extend(net.simulate(w));
+                    spec.extend(eval_sim_nodes(&nodes, &outputs, w));
+                }
+                prop_assert_eq!(&got, &per_word);
+                prop_assert_eq!(&got, &spec);
+            }
+        }
+    }
 }
 
 #[test]
