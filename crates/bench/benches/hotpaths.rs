@@ -10,7 +10,7 @@
 //! `enumerate_cuts/adder32`) so historical numbers stay comparable, with
 //! additional sizes to expose scaling behaviour rather than a single point.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use sfq_circuits as circuits;
 use sfq_core::{assign_phases, detect_t1, insert_dffs, run_flow, FlowConfig, PhaseEngine};
 use sfq_netlist::{enumerate_cuts, map_aig, CutConfig, Library};
@@ -63,11 +63,10 @@ fn bench_hotpaths(c: &mut Criterion) {
     });
 
     // Paper-scale log2: the Table I row where the back three stages are
-    // nearly balanced (ROADMAP's perf targets). `enumerate_cuts`/`detect_t1`
-    // gate the ISSUE 3 pruning/parallelism work; `assign_phases/log2_t1`
-    // and `insert_dffs/log2` gate the ISSUE 4 timing-engine refactor of the
-    // phase/dff stages. The same IDs measure the parallel paths whenever
-    // `SFQ_WORKERS` (or the host) grants the fan-outs their break-even width.
+    // nearly balanced. `enumerate_cuts/log2` and `detect_t1/log2` gate cut
+    // enumeration and detection, which run on the calling thread at every
+    // worker count; `assign_phases/log2_t1` and `insert_dffs/log2` gate the
+    // timing-engine phase/dff stages.
     let log2_aig = circuits::log2_shift_add(32);
     let (log2, _) = map_aig(&log2_aig, &lib).cleaned();
     c.bench_function("enumerate_cuts/log2", |b| {
@@ -109,36 +108,6 @@ fn bench_hotpaths(c: &mut Criterion) {
     let c7552_det = detect_t1(&c7552, &lib, &cut_config).network;
     c.bench_function("assign_phases/c7552_4_t1", |b| {
         b.iter(|| assign_phases(&c7552_det, 4, PhaseEngine::Auto).expect("feasible"))
-    });
-
-    // ISSUE 9 gates. `enumerate_cuts_frontier/log2` drives the
-    // work-stealing frontier driver explicitly, with at least two workers,
-    // so the gate measures the parallel scheduler even on hosts where the
-    // `enumerate_cuts` dispatcher would fall back to the sequential path.
-    let w = sfq_netlist::par::workers().max(2);
-    c.bench_function("enumerate_cuts_frontier/log2", |b| {
-        b.iter(|| sfq_netlist::enumerate_cuts_frontier(&log2, &cut_config, w))
-    });
-    // `detect_sort/log2` gates the chunked parallel sort + deterministic
-    // k-way merge behind detect's match-record phase: synthetic records at
-    // log2's cell volume under a duplicate-free key, sorted through the
-    // same `par::sort_unstable_by_key` primitive detect calls.
-    let recs: Vec<(u64, u32)> = (0..(log2.num_cells() as u32).saturating_mul(4))
-        .map(|i| {
-            let mut x = u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            x ^= x >> 31;
-            (x, i)
-        })
-        .collect();
-    c.bench_function("detect_sort/log2", |b| {
-        b.iter_batched(
-            || recs.clone(),
-            |mut v| {
-                sfq_netlist::par::sort_unstable_by_key(&mut v, |r| *r);
-                v
-            },
-            BatchSize::LargeInput,
-        )
     });
 }
 

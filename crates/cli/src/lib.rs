@@ -510,11 +510,12 @@ fn load_batch_designs(dir: &str) -> Result<(Vec<BatchEntry>, usize), CliError> {
 ///
 /// Containment policy (owned by the engine): a design that fails —
 /// unparseable, flow error, panic, deadline or node-budget abort — renders
-/// as a `FAILED(<reason>)` row, and a panicked design is retried once
-/// sequentially before being declared dead. Under `--keep-going` (default)
-/// every design runs; `--fail-fast` stops the output at the first failed
-/// row. Either way the run ends with a `batch summary:` line, and any
-/// failure surfaces as [`CliError::Partial`] (exit code 2).
+/// as a `FAILED(<reason>)` row. A panicked design is not retried: the flow
+/// fans nothing out, so a rerun would panic identically. Under
+/// `--keep-going` (default) every design runs; `--fail-fast` stops the
+/// output at the first failed row. Either way the run ends with a `batch
+/// summary:` line, and any failure surfaces as [`CliError::Partial`] (exit
+/// code 2).
 fn cmd_flow_batch(
     dir: &str,
     config: &FlowConfig,
@@ -1702,8 +1703,8 @@ mod tests {
             "only the broken file fails the clean run: {clean_res:?}"
         );
 
-        // Unlimited arming: the sequential retry of a panicked design must
-        // hit the same fault again, keeping parallel output identical.
+        // Unlimited arming: the flow fans nothing out, so the poisoned
+        // design panics once at any worker count and rows stay identical.
         arm("flow.detect", Some("poison_a"), FaultAction::Panic);
         arm("flow.phase", Some("poison_b"), FaultAction::Delay(60_000));
         let (poison_res, poison_text) =

@@ -35,22 +35,13 @@
 //!   membership is a dense per-cell vector, and the shared input-inverter
 //!   cache is a short linear-scanned list (committed groups rarely negate
 //!   more than a handful of leaves).
-//! * **Every data-parallel phase fans out through
-//!   `sfq_netlist::par::map_ordered`** whenever `sfq_netlist::par::width`
-//!   grants the phase at least its break-even width: the per-cell match
-//!   scan (`collect_matches`) and per-run group scoring
-//!   (`evaluate_candidates`) merge private buffers in chunk order,
-//!   the record sort runs as sorted chunks + deterministic k-way merge
-//!   (`sfq_netlist::par::sort_unstable_by_key`, valid because `(key,
-//!   root)` is duplicate-free), and the run-boundary scan chunks at
-//!   run-aligned boundaries (`run_boundaries`). Every merge is input- or
-//!   chunk-ordered, so the record and candidate sequences — and therefore
-//!   the committed groups and the rebuilt network — are bit-identical to
-//!   the sequential body (`SFQ_WORKERS=1`) at any worker count. The
-//!   greedy commit and the id-assigning rebuild stay sequential by design:
-//!   both *define* the deterministic order the rest of the flow depends
-//!   on. Cut enumeration parallelizes one crate down (`sfq_netlist::cuts`,
-//!   work-stealing over a dependency-counted frontier).
+//! * **Every pass runs on the calling thread**: match collection, the
+//!   record sort, the run scan and group scoring are each one loop, and the
+//!   greedy commit and the id-assigning rebuild *define* the deterministic
+//!   order the rest of the flow depends on. Chunked parallel versions of
+//!   the first four passes took 1.1–2.4× the wall time of one worker at two
+//!   workers (the sort alone 1.04–1.59×) and were removed, so detection
+//!   does the same work at every worker count.
 //!
 //! Measured effect (criterion medians, one dev machine, see
 //! `BENCH_flow.json`): ISSUE 2 took `detect_t1/adder32` 171 µs → 70 µs and
@@ -136,30 +127,11 @@ fn unpack_group_key(key: u128) -> ([Signal; 3], u8) {
     (leaves, mask)
 }
 
-/// Cells below which match collection runs inline: a chunk must amortize
-/// its worker's spawn.
-const CELL_GRAIN: usize = 1024;
-/// Sorted match records below which the run scan runs inline.
-const RECORD_GRAIN: usize = 4096;
-/// `(leaves, mask)` runs below which group scoring runs inline.
-const RUN_GRAIN: usize = 256;
-/// Smallest worker count at which detect's chunked fan-outs may beat their
-/// sequential bodies. Each chunk fills a private buffer that is then
-/// concatenated, and the sort's k-way merge stays sequential, so two
-/// workers lose: forced to 2, detect's own passes (collection, sort, run
-/// scan, scoring; cuts excluded) took 1.1–2.4× the wall time of one worker
-/// on the paper-scale Table I designs from c6288 to log2 (2-vCPU x86 host,
-/// best of 7 and 9 in two sessions), while margin trials measured in the
-/// same minutes ran at 0.64–0.79× — the host did deliver the second core.
-/// Three is the smallest width not measured to lose.
-const CHUNKED_BREAK_EVEN: usize = 3;
-
 /// One Boolean match found during collection: a root realizable on `port`
 /// when the group `(leaves, mask)` is committed. 32 bytes (the `u128` key
 /// is 16-byte aligned) — the group sort moves packed keys, not leaf
 /// arrays (leaves are recovered per *run*, not per record, via
-/// [`unpack_group_key`]). `Copy` keeps the parallel chunk sort's k-way
-/// merge to trivial element moves.
+/// [`unpack_group_key`]).
 #[derive(Clone, Copy)]
 struct Rec {
     /// Packed `(leaves, mask)` — see [`group_key`].
@@ -170,41 +142,10 @@ struct Rec {
 
 /// Scans every gate's 3-leaf cuts against the T1 match table, emitting one
 /// record per `(leaf set, polarity mask, realizable port)` in ascending cell
-/// order. Pure per-cell work over read-only inputs — the first fan-out
-/// point of detection.
+/// order.
 fn collect_matches(net: &Network, cuts: &sfq_netlist::CutSet, db: &T1MatchDb) -> Vec<Rec> {
-    let n = net.num_cells() as u32;
-    let workers = sfq_netlist::par::width(n as usize, CELL_GRAIN, CHUNKED_BREAK_EVEN);
-    if workers > 1 {
-        let chunk = (n as usize).div_ceil(workers) as u32;
-        let bounds: Vec<(u32, u32)> = (0..workers as u32)
-            .map(|w| ((w * chunk).min(n), ((w + 1) * chunk).min(n)))
-            .collect();
-        // Concatenating in chunk order preserves ascending cell order — the
-        // exact record sequence the sequential scan produces.
-        return sfq_netlist::par::map_ordered(bounds, |(lo, hi)| {
-            let mut recs = Vec::new();
-            collect_matches_range(net, cuts, db, lo..hi, &mut recs);
-            recs
-        })
-        .concat();
-    }
     let mut recs: Vec<Rec> = Vec::with_capacity(cuts.total() / 2);
-    collect_matches_range(net, cuts, db, 0..n, &mut recs);
-    recs
-}
-
-/// [`collect_matches`] over one contiguous cell-id range, appending to
-/// `recs`. Pure function of read-only inputs, so ranges can run on any
-/// thread; concatenation in range order reproduces the full sequential scan.
-fn collect_matches_range(
-    net: &Network,
-    cuts: &sfq_netlist::CutSet,
-    db: &T1MatchDb,
-    range: std::ops::Range<u32>,
-    recs: &mut Vec<Rec>,
-) {
-    for id in range.map(CellId) {
+    for id in net.cell_ids() {
         if !matches!(net.kind(id), CellKind::Gate(_)) {
             continue;
         }
@@ -235,6 +176,7 @@ fn collect_matches_range(
             }
         }
     }
+    recs
 }
 
 /// [`detect_t1`] with an explicit gain cutoff: only groups with
@@ -264,16 +206,14 @@ pub fn detect_t1_with_threshold(
     // set) and collection emits roots in ascending cell order, so sorting
     // unstably by `(key, root)` reproduces the per-group root insertion
     // order the reference's HashMap-of-Vecs maintained. `(key, root)` is
-    // duplicate-free — a strict total order — so the chunked parallel sort
-    // (sorted chunks + deterministic k-way merge) is byte-identical to the
-    // sequential sort for every worker count.
-    sfq_netlist::par::sort_unstable_by_key(&mut recs, |r| (r.key, r.root));
+    // duplicate-free — a strict total order — so the unstable sort is
+    // deterministic.
+    recs.sort_unstable_by_key(|r| (r.key, r.root));
 
     // ---- evaluate candidates ---------------------------------------------
-    // Split the sorted records into (leaves, mask) runs, then score each run
-    // independently (the second fan-out point of detection).
+    // Split the sorted records into (leaves, mask) runs, then score each run.
     let runs = run_boundaries(&recs);
-    let mut candidates = evaluate_candidates(net, lib, &refs, &recs, &runs, threshold);
+    let mut candidates = evaluate_runs(net, lib, &refs, &recs, &runs, threshold);
     let found = candidates.len();
 
     // ---- greedy non-overlapping commit ------------------------------------
@@ -321,49 +261,13 @@ pub fn detect_t1_with_threshold(
 }
 
 /// Splits sorted records into `(start, end)` runs of equal [`group_key`]s.
-/// With enough records and workers the scan is chunked over
-/// [`sfq_netlist::par::map_ordered`] at *run-aligned* boundaries (each
-/// chunk starts where a key first differs from its predecessor, so no run
-/// straddles two chunks) and the per-chunk run lists are concatenated in
-/// chunk order — the exact sequence the sequential scan produces.
 fn run_boundaries(recs: &[Rec]) -> Vec<(u32, u32)> {
-    let n = recs.len();
-    let workers = sfq_netlist::par::width(n, RECORD_GRAIN, CHUNKED_BREAK_EVEN);
-    if workers > 1 {
-        let chunk = n.div_ceil(workers);
-        let mut bounds: Vec<usize> = vec![0];
-        let mut pos = chunk;
-        while pos < n {
-            // `pos` may land mid-run; advance to the next run start so the
-            // straddling run stays whole in the previous chunk.
-            while pos < n && recs[pos].key == recs[pos - 1].key {
-                pos += 1;
-            }
-            if pos >= n {
-                break;
-            }
-            bounds.push(pos);
-            pos += chunk;
-        }
-        bounds.push(n);
-        if bounds.len() > 2 {
-            let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
-            return sfq_netlist::par::map_ordered(ranges, |(lo, hi)| scan_runs(recs, lo, hi))
-                .concat();
-        }
-    }
-    scan_runs(recs, 0, recs.len())
-}
-
-/// The run scan over one record range (absolute indices). `lo` must be a
-/// run start and `hi` a run end, which chunk alignment guarantees.
-fn scan_runs(recs: &[Rec], lo: usize, hi: usize) -> Vec<(u32, u32)> {
     let mut runs: Vec<(u32, u32)> = Vec::new();
-    let mut start = lo;
-    while start < hi {
+    let mut start = 0;
+    while start < recs.len() {
         let key = recs[start].key;
         let mut end = start + 1;
-        while end < hi && recs[end].key == key {
+        while end < recs.len() && recs[end].key == key {
             end += 1;
         }
         runs.push((start as u32, end as u32));
@@ -372,45 +276,8 @@ fn scan_runs(recs: &[Rec], lo: usize, hi: usize) -> Vec<(u32, u32)> {
     runs
 }
 
-/// Scores every `(leaves, mask)` run, fanning run slices over
-/// [`sfq_netlist::par::map_ordered`] when the run list is large enough to
-/// amortize the spawns and the host delivers the break-even width.
-/// Chunk-order concatenation preserves run order, so the candidate list
-/// matches the sequential scan exactly.
-fn evaluate_candidates(
-    net: &Network,
-    lib: &Library,
-    refs: &[u32],
-    recs: &[Rec],
-    runs: &[(u32, u32)],
-    threshold: i64,
-) -> Vec<T1Group> {
-    let workers = sfq_netlist::par::width(runs.len(), RUN_GRAIN, CHUNKED_BREAK_EVEN);
-    if workers > 1 {
-        // Budgets are thread-local (worker ticks are no-ops), so charge the
-        // whole scoring pass on the coordinator — the same total the
-        // sequential loop accumulates one run at a time.
-        sfq_netlist::budget::tick(runs.len() as u64);
-        let chunk = runs.len().div_ceil(workers);
-        // `map_ordered` re-raises the lowest-index worker panic with its
-        // original payload, so the supervisor sees the real reason.
-        return sfq_netlist::par::map_ordered(runs.chunks(chunk).collect(), |part| {
-            #[cfg(feature = "fault-injection")]
-            sfq_netlist::faultpt::hit("par.detect", net.name());
-            evaluate_runs(net, lib, refs, recs, part, threshold)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    }
-    evaluate_runs(net, lib, refs, recs, runs, threshold)
-}
-
-/// Scores a slice of `(leaves, mask)` runs: assigns ports, walks the joint
-/// MFFC and keeps groups whose area gain beats `threshold`. Runs only read
-/// shared immutable state (each carries private scratch), so run slices can
-/// be scored on worker threads; concatenating slice results in run order
-/// reproduces the sequential candidate list.
+/// Scores every `(leaves, mask)` run: assigns ports, walks the joint MFFC
+/// and keeps groups whose area gain beats `threshold`, in run order.
 fn evaluate_runs(
     net: &Network,
     lib: &Library,
@@ -425,9 +292,8 @@ fn evaluate_runs(
     let mut sorted_roots: Vec<CellId> = Vec::new();
     let mut mffc = MffcScratch::new(net.num_cells());
     for &(start, end) in runs {
-        // Supervised-flow budget check (no-op on worker threads and
-        // whenever no budget is installed); the parallel driver charges the
-        // identical total up front, so abort decisions match at any width.
+        // Supervised-flow budget check (a no-op when no budget is
+        // installed).
         sfq_netlist::budget::tick(1);
         let entries = &recs[start as usize..end as usize];
         let (leaves, mask) = unpack_group_key(entries[0].key);

@@ -901,7 +901,7 @@ impl<'a> TimingEngine<'a> {
         // workers take 0.9–1.4× the CPU time and 0.5–0.85× the wall time of
         // one worker on the paper-scale Table I designs (best of 3, 2-vCPU
         // x86 host), so the second delivered core already pays off.
-        let workers = sfq_netlist::par::width(extra as usize, 1, 2);
+        let workers = sfq_netlist::par::width(extra as usize);
         let mut results: Vec<(usize, EngineState)> = Vec::with_capacity(extra as usize);
         if workers > 1 {
             /// One fan-out item: the unperturbed descent of the current

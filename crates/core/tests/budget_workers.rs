@@ -1,9 +1,9 @@
 //! Node-budget determinism across worker counts: budgets are thread-local
-//! and charged by the coordinating thread only (parallel workers' ticks
-//! are deliberate no-ops, and the cut frontier charges its whole network
-//! up front), so an `OverBudget` abort must be **identical** — same
+//! and charged by the calling thread only (parallel workers' ticks are
+//! deliberate no-ops, and cut enumeration and detection never leave the
+//! calling thread), so an `OverBudget` abort must be **identical** — same
 //! outcome class, same rendered reason, same point of refusal — whether
-//! the flow under supervision fans over 1, 4 or 8 workers.
+//! the flow under supervision runs at 1, 4 or 8 workers.
 //!
 //! Everything lives in one test fn: the worker override is process-global,
 //! and a single owner needs no locking against parallel test threads.

@@ -50,10 +50,10 @@
 //!
 //! The enumeration order, budget semantics and resulting cut sets are
 //! bit-identical to the straightforward implementation (asserted by the
-//! netlist test suite's cut soundness properties and by
-//! `tests/differential_mapping.rs`, which also A/Bs the
-//! work-stealing frontier driver ([`enumerate_cuts_frontier`]) against
-//! [`enumerate_cuts_sequential`]).
+//! netlist test suite's cut soundness properties and, through detection,
+//! by `tests/differential_mapping.rs`). Enumeration runs on the calling
+//! thread at every worker count: a parallel frontier was measured to cost
+//! 2.2–2.9× the CPU time of this loop at two workers and was removed.
 //!
 //! Measured effect (criterion medians, one dev machine; trajectory in
 //! `BENCH_flow.json` at the repo root): PR 1 took `enumerate_cuts/adder32`
@@ -381,46 +381,12 @@ impl Candidate {
     }
 }
 
-/// Enumerates cuts for every cell of `net` (port-0 pins).
+/// Enumerates cuts for every cell of `net` (port-0 pins), one node at a
+/// time in topological order.
 ///
 /// # Panics
 /// Panics if the network is cyclic or `config.max_leaves > 6`.
 pub fn enumerate_cuts(net: &Network, config: &CutConfig) -> CutSet {
-    let workers = frontier_width(net.num_cells());
-    if workers > 1 {
-        return enumerate_cuts_frontier(net, config, workers);
-    }
-    enumerate_cuts_sequential(net, config)
-}
-
-/// Smallest network (cells) whose frontier amortizes its thread spawns and
-/// scheduler state; smaller networks run the plain loop.
-const FRONTIER_GRAIN: usize = 1024;
-
-/// Smallest worker count at which the work-stealing frontier beats
-/// [`enumerate_cuts_sequential`]. Its per-node countdowns, shared ready
-/// queue and per-node published buffers cost more than the cut work
-/// itself: at 2 workers the frontier takes 2.2–2.9× the CPU time of the
-/// sequential loop on the paper-scale Table I designs from c6288 to log2
-/// (best of 5, 2-vCPU x86 host), so even two free cores finish later than
-/// one; spread over three, the same CPU time would beat it.
-const FRONTIER_BREAK_EVEN: usize = 3;
-
-/// Width [`enumerate_cuts`] gives the frontier for a `cells`-cell network
-/// (`1` = the sequential loop).
-pub(crate) fn frontier_width(cells: usize) -> usize {
-    crate::par::width(cells, FRONTIER_GRAIN, FRONTIER_BREAK_EVEN)
-}
-
-/// The sequential cut enumeration — the executable specification of the
-/// work-stealing frontier. [`enumerate_cuts`] dispatches here unless
-/// [`crate::par::width`] grants the frontier at least its break-even width
-/// (always under `SFQ_WORKERS=1`); the differential tests assert per-node
-/// equality of both paths' cut sets.
-///
-/// # Panics
-/// Panics if the network is cyclic or `config.max_leaves > 6`.
-pub fn enumerate_cuts_sequential(net: &Network, config: &CutConfig) -> CutSet {
     assert!(
         config.max_leaves <= TruthTable::MAX_VARS,
         "cuts limited to 6 leaves"
@@ -456,252 +422,10 @@ pub fn enumerate_cuts_sequential(net: &Network, config: &CutConfig) -> CutSet {
     CutSet { cuts, spans }
 }
 
-/// One finished node's cut set, published for successors to read. `sigs` is
-/// parallel to `cuts` (needed by successors' prefilters, dropped at final
-/// assembly).
-struct NodeOut {
-    cuts: Vec<Cut>,
-    sigs: Vec<Sig256>,
-}
-
-/// Sets the abort flag and wakes every blocked worker when dropped while
-/// armed — the unwind path of a panicking frontier worker. Without this a
-/// panic (injected fault, budget abort) would leave peers parked on the
-/// condvar forever.
-struct FrontierAbort<'a> {
-    abort: &'a crate::sync::AtomicBool,
-    ready: &'a crate::sync::Mutex<Vec<u32>>,
-    cv: &'a crate::sync::Condvar,
-    armed: bool,
-}
-
-impl Drop for FrontierAbort<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.abort.store(true, crate::sync::Ordering::Release);
-            // Taking the queue lock before notifying closes the race with a
-            // worker that just checked the flag and is about to wait. A
-            // poisoned lock is fine — we only need the mutual exclusion.
-            let _q = self.ready.lock();
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// Work-stealing parallel enumeration: every node
-/// carries an atomic countdown of its unfinished fanins; workers claim
-/// ready nodes from a shared queue (plus a thread-local depth-first stack
-/// for the cache-friendly common case of one successor becoming ready),
-/// compute the node against its fanins' **published** cut sets, and
-/// decrement their successors. Unlike the retired level-synchronous driver
-/// there is no barrier: a narrow level no longer idles workers, because
-/// readiness is per-node, not per-level.
-///
-/// Determinism: a node's cuts depend only on its fanins' stored cut sets
-/// and `compute_node_cuts` is shared with the sequential path, so every
-/// node's cut set is **bit-identical** to [`enumerate_cuts_sequential`]'s
-/// for any worker count or schedule. The final assembly writes the flat
-/// table in ascending cell-index order, so even the CSR bytes are
-/// schedule-independent.
-///
-/// # Panics
-/// Panics if the network is cyclic or `config.max_leaves > 6`; worker
-/// panics (injected faults, budget aborts on the coordinator) are resumed
-/// on the calling thread with their original payload.
-pub fn enumerate_cuts_frontier(net: &Network, config: &CutConfig, workers: usize) -> CutSet {
-    use crate::sync::{AtomicBool, AtomicU32, AtomicUsize, Condvar, Mutex, OnceLock, Ordering};
-
-    assert!(
-        config.max_leaves <= TruthTable::MAX_VARS,
-        "cuts limited to 6 leaves"
-    );
-    // Validate acyclicity up front, mirroring the sequential path's panic;
-    // the countdown scheduler itself would otherwise just deadlock on a
-    // cycle, which is a much worse failure mode.
-    net.topological_order().expect("network must be acyclic");
-    let n = net.num_cells();
-
-    // Dependency counts and the fanout CSR. One dependency per *gate fanin
-    // edge* read through port 0 — non-port-0 pins (T1 ports) only offer
-    // synthesized trivial cuts, and non-gate cells read nothing. A cell
-    // feeding both inputs of one gate contributes two edges; counts and
-    // decrements agree because both derive from the same loop.
-    let mut pending_init = vec![0u32; n];
-    let mut succ_starts = vec![0u32; n + 1];
-    for (i, pending) in pending_init.iter_mut().enumerate() {
-        if let CellKind::Gate(_) = net.kind(CellId(i as u32)) {
-            for f in net.fanins(CellId(i as u32)) {
-                if f.port == 0 {
-                    *pending += 1;
-                    succ_starts[f.cell.0 as usize + 1] += 1;
-                }
-            }
-        }
-    }
-    for i in 0..n {
-        succ_starts[i + 1] += succ_starts[i];
-    }
-    let mut cursor: Vec<u32> = succ_starts[..n].to_vec();
-    let mut successors = vec![0u32; succ_starts[n] as usize];
-    for i in 0..n {
-        if let CellKind::Gate(_) = net.kind(CellId(i as u32)) {
-            for f in net.fanins(CellId(i as u32)) {
-                if f.port == 0 {
-                    let p = f.cell.0 as usize;
-                    successors[cursor[p] as usize] = i as u32;
-                    cursor[p] += 1;
-                }
-            }
-        }
-    }
-
-    // Budgets are thread-local (worker ticks would be no-ops), so the
-    // coordinator charges the whole network up front — the same unit total
-    // the sequential path accumulates, keeping node-ceiling aborts
-    // deterministic across builds and worker counts.
-    crate::budget::tick(n as u64);
-
-    let initial: Vec<u32> = (0..n as u32)
-        .filter(|&i| pending_init[i as usize] == 0)
-        .collect();
-    let pending: Vec<AtomicU32> = pending_init.into_iter().map(AtomicU32::new).collect();
-    let slots: Vec<OnceLock<NodeOut>> = (0..n).map(|_| OnceLock::new()).collect();
-    let remaining = AtomicUsize::new(n);
-    let abort = AtomicBool::new(false);
-    let ready = Mutex::new(initial);
-    let cv = Condvar::new();
-
-    // The worker body; the coordinator runs it too (as the only thread with
-    // a budget installed, it checkpoints per claimed node so deadlines fire
-    // promptly even while peers keep the queue drained).
-    let run = |on_coordinator: bool| {
-        #[cfg(feature = "fault-injection")]
-        crate::faultpt::hit("par.cuts", net.name());
-        let mut guard = FrontierAbort {
-            abort: &abort,
-            ready: &ready,
-            cv: &cv,
-            armed: true,
-        };
-        let mut scratch = NodeScratch::default();
-        // Local depth-first stack: the first successor a node readies stays
-        // on this worker (its fanin's cuts are hot in cache); the rest go to
-        // the shared queue.
-        let mut local: Vec<u32> = Vec::new();
-        loop {
-            let node = match local.pop() {
-                Some(x) => x,
-                None => {
-                    let mut q = ready.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
-                        if abort.load(Ordering::Acquire) || remaining.load(Ordering::Acquire) == 0 {
-                            guard.armed = false;
-                            return;
-                        }
-                        if let Some(x) = q.pop() {
-                            break x;
-                        }
-                        q = cv.wait(q).unwrap_or_else(|e| e.into_inner());
-                    }
-                }
-            };
-            if abort.load(Ordering::Acquire) {
-                guard.armed = false;
-                return;
-            }
-            if on_coordinator {
-                crate::budget::checkpoint();
-            }
-            let id = CellId(node);
-            compute_node_cuts(
-                net,
-                id,
-                config,
-                |c| {
-                    // Acquire ordering via OnceLock: the publishing store in
-                    // `set` happens-before this read, and the scheduler only
-                    // readies a node after all its fanins published.
-                    let out = slots[c.0 as usize]
-                        .get()
-                        .expect("fanin cut set must be published before its reader runs");
-                    (out.cuts.as_slice(), out.sigs.as_slice())
-                },
-                &mut scratch,
-            );
-            let mut out = NodeOut {
-                cuts: Vec::with_capacity(scratch.kept.len() + 1),
-                sigs: Vec::with_capacity(scratch.kept.len() + 1),
-            };
-            emit_node_cuts(id, &scratch, &mut out.cuts, &mut out.sigs);
-            assert!(
-                slots[node as usize].set(out).is_ok(),
-                "each node is claimed exactly once"
-            );
-            // Countdown the successors; whoever decrements a count to zero
-            // owns waking that node.
-            let succs = &successors
-                [succ_starts[node as usize] as usize..succ_starts[node as usize + 1] as usize];
-            let mut keep: Option<u32> = None;
-            let mut share: Vec<u32> = Vec::new();
-            for &s in succs {
-                if pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    if keep.is_none() && local.is_empty() {
-                        keep = Some(s);
-                    } else {
-                        share.push(s);
-                    }
-                }
-            }
-            if let Some(s) = keep {
-                local.push(s);
-            }
-            if !share.is_empty() {
-                let mut q = ready.lock().unwrap_or_else(|e| e.into_inner());
-                q.extend_from_slice(&share);
-                drop(q);
-                cv.notify_all();
-            }
-            if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last node: release every parked worker. Lock-then-notify
-                // for the same race-closing reason as in `FrontierAbort`.
-                let _q = ready.lock().unwrap_or_else(|e| e.into_inner());
-                cv.notify_all();
-            }
-        }
-    };
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers.min(n))
-            .map(|_| crate::sync::spawn_scoped(scope, || run(false)))
-            .collect();
-        run(true);
-        for h in handles {
-            // Preserve a worker's panic payload (e.g. an injected fault)
-            // for the supervision layer instead of masking it with a join
-            // message.
-            h.join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        }
-    });
-
-    // Assemble the flat CSR in ascending cell-index order — byte-identical
-    // for every schedule and worker count.
-    let mut cuts: Vec<Cut> = Vec::with_capacity(n * 6);
-    let mut spans: Vec<(u32, u32)> = vec![(0, 0); n];
-    for (i, slot) in slots.into_iter().enumerate() {
-        let out = slot
-            .into_inner()
-            .expect("every node completes before the scope joins");
-        spans[i] = (cuts.len() as u32, out.cuts.len() as u32);
-        cuts.extend_from_slice(&out.cuts);
-    }
-    CutSet { cuts, spans }
-}
-
 /// Reusable per-node scratch of [`compute_node_cuts`]: the leaf arena, the
 /// candidate list, the sort permutation, the surviving-candidate list and
-/// the survivors' derived functions. One scratch serves any number of nodes
-/// (and, on the frontier, one scratch serves each worker).
+/// the survivors' derived functions. One scratch serves every node of an
+/// enumeration.
 #[derive(Default)]
 struct NodeScratch {
     arena: Vec<Signal>,
@@ -713,12 +437,9 @@ struct NodeScratch {
 
 /// Enumerates, prunes and derives the non-trivial cuts of one node into
 /// `scratch`, reading stored fanin cut sets through `lookup` (cell id →
-/// that cell's published `(cuts, sigs)` slices). The sequential driver's
-/// lookup indexes its in-progress CSR table; the frontier driver's reads a
-/// fanin's `OnceLock` slot. Holds **no** borrows on return, so the caller
-/// can append the results to the very table the lookup reads from. Results
-/// depend only on the fanins' stored cut sets, never on where this node's
-/// output lands.
+/// that cell's `(cuts, sigs)` slices of the in-progress CSR table). Holds
+/// **no** borrows on return, so the caller can append the results to the
+/// very table the lookup reads from.
 fn compute_node_cuts<'a>(
     net: &Network,
     id: CellId,

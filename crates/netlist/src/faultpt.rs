@@ -13,8 +13,6 @@
 //! | `flow.dff`    | before DFF emission                              | network name           |
 //! | `flow.verify` | before audit + equivalence check                 | network name           |
 //! | `par.item`    | inside every [`crate::par::map_ordered`] worker  | item index (decimal)   |
-//! | `par.cuts`    | inside cut-enumeration workers                   | network name           |
-//! | `par.detect`  | inside detection workers                         | network name           |
 //!
 //! Faults are armed programmatically ([`arm`] / [`arm_limited`]) or from the
 //! `SFQ_FAULTS` environment variable (read once, at first use), a

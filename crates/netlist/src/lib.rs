@@ -9,9 +9,10 @@
 //!   (clocked gates, T1 cells, DFFs), the subject of T1 detection, phase
 //!   assignment and DFF insertion;
 //! * [`Library`] — the JJ-count area model;
-//! * cut enumeration ([`cuts`] — a work-stealing frontier when [`par`]
-//!   grants it workers), maximum-fanout-free cones ([`mffc`]), and a
-//!   cut-based technology mapper ([`map_aig`]) from AIGs to SFQ cells;
+//! * cut enumeration ([`cuts`]), maximum-fanout-free cones ([`mffc`]), and
+//!   a cut-based technology mapper ([`map_aig`]) from AIGs to SFQ cells;
+//! * the worker-count policy and the one fan-out primitive of the
+//!   workspace ([`par::map_ordered`]);
 //! * ASCII AIGER I/O ([`aiger`]), BLIF I/O ([`blif`]), BLIF/Verilog/DOT
 //!   export of mapped networks ([`export`]), and a unified external-design
 //!   ingestion layer ([`design`]: format auto-detection, canonical
@@ -61,9 +62,7 @@ pub use aig::{Aig, AigLit, AigNodeId};
 pub use blif::{parse_blif, write_blif, BlifError};
 pub use budget::BudgetExceeded;
 pub use cell::{CellKind, GateKind, Library, T1Port, T1_NUM_PORTS};
-pub use cuts::{
-    enumerate_cuts, enumerate_cuts_frontier, enumerate_cuts_sequential, Cut, CutConfig, CutSet,
-};
+pub use cuts::{enumerate_cuts, Cut, CutConfig, CutSet};
 pub use design::{CacheStats, Design, DesignCache, DesignError, DesignFormat};
 pub use mapper::map_aig;
 pub use mapper_reference::map_aig_reference;

@@ -1,14 +1,13 @@
 //! Worker-count policy and the fan-out primitive of the in-flow parallelism.
 //!
-//! Cut enumeration (and, one crate up, T1 detection's collection/scoring
-//! passes, the phase-descent restarts and the Monte-Carlo margin trials)
-//! fan out over scoped worker threads. This module owns the two policy
-//! decisions those fan-outs share — how many workers the host delivers
-//! ([`workers`]) and whether one site should use them ([`width`]) — and
-//! the one primitive every chunked fan-out spawns through
+//! Two in-flow loops fan out over scoped worker threads: the phase-descent
+//! restarts (`sfq_core`) and the Monte-Carlo margin trials (`sfq_sim`).
+//! The batch drivers fan out one item per design. This module owns the two
+//! policy decisions those fan-outs share — how many workers the host
+//! delivers ([`workers`]) and how many one in-flow site should use
+//! ([`width`]) — and the one primitive every fan-out spawns through
 //! ([`map_ordered`]). Chunking and deterministic merges live next to the
-//! loops they parallelize; the cut frontier keeps its own work-stealing
-//! protocol.
+//! loops they parallelize.
 //!
 //! The default worker count is the parallelism a one-time spin-loop probe
 //! measures, not the number of CPUs the host reports: a 2-vCPU guest that
@@ -80,25 +79,14 @@ pub fn parse_workers(value: &str) -> Result<usize, String> {
 /// [`MAX_WORKERS`], which is how single-core CI exercises the parallel
 /// merges, and they skip the probe.
 ///
-/// Fan-out sites should ask [`width`] rather than call this directly, so
-/// that small inputs never pay for the probe.
+/// In-flow fan-out sites should ask [`width`] rather than call this
+/// directly, so that a single item never pays for the probe.
 pub fn workers() -> usize {
-    workers_reaching(2)
-}
-
-/// [`workers`] for a caller that can only use `at_least` workers or more:
-/// without an override, a host reporting fewer CPUs than that answers 1
-/// without running the probe, whose answer could not reach `at_least`
-/// either. The probe starts threads, so this keeps a process that never
-/// fans out single-threaded.
-fn workers_reaching(at_least: usize) -> usize {
-    resolve_workers(FORCED.load(Ordering::SeqCst), env_workers(), || {
-        if available_cpus() < at_least {
-            1
-        } else {
-            delivered_parallelism()
-        }
-    })
+    resolve_workers(
+        FORCED.load(Ordering::SeqCst),
+        env_workers(),
+        delivered_parallelism,
+    )
 }
 
 /// `std::thread::available_parallelism()`, read once: it respects CPU
@@ -142,31 +130,20 @@ fn env_workers() -> Option<usize> {
     })
 }
 
-/// The width a fan-out site may use for `items` units of work: `1` (run
-/// the sequential body) when `items` is below the site's `grain` or the
-/// host delivers fewer than `break_even` workers, else [`workers`] capped
-/// at `items`.
+/// The width an in-flow fan-out site may use for `items` independent
+/// units of work: `1` (run the sequential body) for fewer than two items,
+/// else [`workers`] capped at `items`.
 ///
-/// `grain` is the smallest input that amortizes the site's thread spawns;
-/// `break_even` is the smallest worker count at which the site's parallel
-/// driver beats its sequential body, measured per site (restarts and
-/// margin trials break even at 2; the cut frontier, detect's passes and
-/// the chunked sort need 3). The [`delivered_parallelism`] probe runs only
-/// when neither check can settle the answer: never for inputs below the
-/// grain, and never for a break-even width above the host's CPU count.
-/// Every site's output is bit-identical at every width, so this decides
-/// cost only, never results.
-pub fn width(items: usize, grain: usize, break_even: usize) -> usize {
-    if items < grain.max(2) {
+/// Both in-flow sites (restarts and margin trials) break even at two
+/// workers and amortize their spawns from two items on, so there is no
+/// per-site grain or break-even width. The [`delivered_parallelism`] probe
+/// never runs for a single item. Every site's output is bit-identical at
+/// every width, so this decides cost only, never results.
+pub fn width(items: usize) -> usize {
+    if items < 2 {
         return 1;
     }
-    let break_even = break_even.max(2);
-    let w = workers_reaching(break_even).min(items);
-    if w < break_even {
-        1
-    } else {
-        w
-    }
+    workers().min(items)
 }
 
 /// The parallelism this host delivers to the process, capped at
@@ -288,65 +265,6 @@ fn concurrent_span(k: usize) -> std::time::Duration {
     last - first
 }
 
-/// Smallest worker count at which the chunked sort may beat
-/// `sort_unstable_by_key`. The chunk sorts overlap, but the k-way merge
-/// runs on one thread after them: sorting 20k–1M 20-byte records at 2
-/// workers took 1.04–1.59× the wall time and 1.27–1.59× the CPU time of
-/// one (best of 5, 2-vCPU x86 host). Three is the smallest width not
-/// measured to lose.
-const SORT_BREAK_EVEN: usize = 3;
-
-/// Sorts `items` by `key` across up to [`workers`] scoped threads: the
-/// vector is split into one contiguous chunk per worker, each chunk is
-/// `sort_unstable_by_key`ed in place (one [`map_ordered`] item per chunk),
-/// and the sorted chunks are k-way merged (smallest key first, ties broken
-/// by chunk order, i.e. input order). Small inputs and single-worker configurations fall through to
-/// plain `sort_unstable_by_key` with no threads spawned.
-///
-/// **Determinism:** when no two elements have equal keys (a strict total
-/// order — e.g. a compound key ending in a unique index), the result is
-/// byte-identical to `slice::sort_unstable_by_key` for *every* worker
-/// count. With duplicate keys the order within a run of equals is as
-/// unspecified as `sort_unstable` itself — callers that need worker-count
-/// independence must provide deduplicating keys.
-pub fn sort_unstable_by_key<T, K, F>(items: &mut Vec<T>, key: F)
-where
-    T: Copy + Send,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    // A chunk must amortize its thread spawn; tiny sorts run inline.
-    const MIN_ITEMS: usize = 4096;
-    let n = items.len();
-    let w = width(n, MIN_ITEMS, SORT_BREAK_EVEN).min(n / (MIN_ITEMS / 4));
-    if w < 2 {
-        items.sort_unstable_by_key(|t| key(t));
-        return;
-    }
-    let chunk = n.div_ceil(w);
-    map_ordered(items.chunks_mut(chunk).collect(), |part: &mut [T]| {
-        part.sort_unstable_by_key(|t| key(t))
-    });
-    // Sequential k-way merge (k = worker count, so a linear scan over the
-    // chunk heads beats a heap). `T: Copy` keeps the element moves trivial.
-    let mut cursors: Vec<(usize, usize)> = (0..w)
-        .map(|c| (c * chunk, ((c + 1) * chunk).min(n)))
-        .collect();
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    loop {
-        let mut best: Option<usize> = None;
-        for (c, &(lo, hi)) in cursors.iter().enumerate() {
-            if lo < hi && best.is_none_or(|b| key(&items[lo]) < key(&items[cursors[b].0])) {
-                best = Some(c);
-            }
-        }
-        let Some(b) = best else { break };
-        out.push(items[cursors[b].0]);
-        cursors[b].0 += 1;
-    }
-    *items = out;
-}
-
 /// A panic captured from one item of [`map_ordered_caught`]: the original
 /// unwind payload, so nothing is lost between the worker and the caller.
 pub struct ItemPanic {
@@ -411,11 +329,10 @@ fn run_item<T, U>(k: usize, item: T, f: &(impl Fn(T) -> U + Sync)) -> Result<U, 
 /// Maps `f` over `items` on up to [`workers`] scoped threads, returning the
 /// results **in input order** regardless of scheduling.
 ///
-/// This is the workspace's one chunked fan-out primitive: the batch
-/// drivers (`sfqt1 flow --batch`, the corpus table, Table I) pass one item
-/// per design, and the in-flow sites (detect's passes, the phase-descent
-/// restarts, the margin trials, [`sort_unstable_by_key`]) pass one item per
-/// [`width`]-sized chunk. Items are claimed from an atomic cursor, so
+/// This is the workspace's one fan-out primitive: the batch drivers
+/// (`sfqt1 flow --batch`, the corpus table, Table I) pass one item per
+/// design, and the in-flow sites (the phase-descent restarts, the margin
+/// trials) pass one item per [`width`]-sized chunk. Items are claimed from an atomic cursor, so
 /// uneven per-item cost balances automatically, every spawn goes through
 /// the crate's `sync` funnel (and so under the `chk` model checker), and
 /// the order-preserving merge keeps the observable output bit-identical for

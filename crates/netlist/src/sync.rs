@@ -4,10 +4,10 @@
 //! Production builds re-export the std primitives unchanged (this module
 //! compiles to pure renames; the default build stays std-only). Under the
 //! `chk` cargo feature the same names resolve to the model-checked shims
-//! from the in-tree `chk` crate, so the synchronization skeletons of
-//! [`par`](crate::par) and the cut frontier can be exhaustively
-//! schedule-explored by `tests/chk_models.rs` without a separate copy of
-//! the protocol code. The workspace `srclint` enforces the funnel: raw
+//! from the in-tree `chk` crate, so the synchronization skeleton of
+//! [`par`](crate::par) can be exhaustively schedule-explored by
+//! `tests/chk_models.rs` without a separate copy of the protocol code. The
+//! workspace `srclint` enforces the funnel: raw
 //! `std::sync::Mutex`/`Condvar`/`std::thread::spawn` outside per-crate
 //! `sync.rs` modules (and tests) fail the lint.
 //!
@@ -16,16 +16,14 @@
 //! model checker does not model it.
 
 #[cfg(feature = "chk")]
-pub use chk::sync::{
-    AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, OnceLock,
-};
+pub use chk::sync::{AtomicUsize, Mutex, MutexGuard, OnceLock};
 #[cfg(feature = "chk")]
 pub use chk::thread::{spawn_scoped, ScopedJoinHandle};
 
 #[cfg(not(feature = "chk"))]
-pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+pub use std::sync::atomic::AtomicUsize;
 #[cfg(not(feature = "chk"))]
-pub use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+pub use std::sync::{Mutex, MutexGuard, OnceLock};
 #[cfg(not(feature = "chk"))]
 pub use std::thread::ScopedJoinHandle;
 

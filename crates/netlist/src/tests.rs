@@ -1079,90 +1079,6 @@ proptest! {
     }
 }
 
-/// The parallel enumeration driver must agree with the sequential
-/// executable specification cut-for-cut on every node.
-#[test]
-fn parallel_enumeration_matches_sequential() {
-    let _guard = worker_override_lock();
-    /// A `bits × bits` array multiplier: reconvergent carry-save structure
-    /// with wide topological levels, so the level-parallel driver really
-    /// spawns workers (narrow designs run inline even with workers forced).
-    fn array_multiplier(bits: usize) -> Aig {
-        let mut aig = Aig::new("mult");
-        let a: Vec<_> = (0..bits).map(|i| aig.input(format!("a{i}"))).collect();
-        let b: Vec<_> = (0..bits).map(|i| aig.input(format!("b{i}"))).collect();
-        let mut cols: Vec<Vec<crate::aig::AigLit>> = vec![Vec::new(); 2 * bits];
-        for i in 0..bits {
-            for j in 0..bits {
-                let p = aig.and(a[i], b[j]);
-                cols[i + j].push(p);
-            }
-        }
-        // Carry-save reduction, one full adder per three column entries.
-        for k in 0..cols.len() {
-            while cols[k].len() > 2 {
-                let (x, y, z) = (
-                    cols[k].pop().unwrap(),
-                    cols[k].pop().unwrap(),
-                    cols[k].pop().unwrap(),
-                );
-                let (s, c) = aig.full_adder(x, y, z);
-                cols[k].push(s);
-                cols[k + 1].push(c);
-            }
-        }
-        let mut carry = aig.const_false();
-        for (k, col) in cols.iter().enumerate() {
-            let (x, y) = (
-                col.first().copied().unwrap_or_else(|| aig.const_false()),
-                col.get(1).copied().unwrap_or_else(|| aig.const_false()),
-            );
-            let (s, c) = aig.full_adder(x, y, carry);
-            carry = c;
-            aig.output(format!("p{k}"), s);
-        }
-        aig.output("p_top", carry);
-        aig
-    }
-
-    // Exercise the scoped-worker merges even on single-core hosts. The
-    // atomic override avoids `std::env::set_var`, which would race against
-    // concurrent `getenv` from sibling test threads.
-    crate::par::force_workers(4);
-    let lib = Library::default();
-    let config = CutConfig::default();
-    for bits in [8usize, 12] {
-        let aig = array_multiplier(bits);
-        let net = map_aig(&aig, &lib);
-        let par = enumerate_cuts(&net, &config);
-        let seq = crate::cuts::enumerate_cuts_sequential(&net, &config);
-        assert_eq!(par.total(), seq.total(), "total cut count ({bits} bits)");
-        for id in net.cell_ids() {
-            assert_eq!(par.of(id), seq.of(id), "cut set of c{} ({bits} bits)", id.0);
-        }
-        // Drive the frontier scheduler directly so it is exercised even
-        // below the dispatcher's network-size threshold, at several worker
-        // counts (including more workers than the ready frontier can feed).
-        for workers in [2usize, 4, 8] {
-            let frontier = crate::cuts::enumerate_cuts_frontier(&net, &config, workers);
-            assert_eq!(
-                frontier.total(),
-                seq.total(),
-                "frontier total cut count ({bits} bits, {workers} workers)"
-            );
-            for id in net.cell_ids() {
-                assert_eq!(
-                    frontier.of(id),
-                    seq.of(id),
-                    "frontier cut set of c{} ({bits} bits, {workers} workers)",
-                    id.0
-                );
-            }
-        }
-    }
-    crate::par::force_workers(0);
-}
-
 // ---------------------------------------------- supervision primitives ----
 
 #[test]
@@ -1254,32 +1170,6 @@ fn map_ordered_streamed_emits_every_item_in_input_order() {
     }
 }
 
-#[test]
-fn par_sort_matches_sequential_for_every_worker_count() {
-    let _guard = worker_override_lock();
-    // A strict total order (unique trailing index), so the chunked sort +
-    // k-way merge must be byte-identical to the sequential sort for any
-    // worker count — including more workers than cores.
-    let mut expect: Vec<(u64, u32)> = (0..20_000u32)
-        .map(|i| (u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 7, i))
-        .collect();
-    let mut sorted = expect.clone();
-    sorted.sort_unstable_by_key(|&e| e);
-    for workers in [1usize, 2, 4, 8] {
-        crate::par::force_workers(workers);
-        let mut items = expect.clone();
-        crate::par::sort_unstable_by_key(&mut items, |&e| e);
-        crate::par::force_workers(0);
-        assert_eq!(items, sorted, "{workers} workers");
-    }
-    // Below the spawn threshold the call is exactly the sequential sort.
-    expect.truncate(100);
-    let mut small = expect.clone();
-    crate::par::sort_unstable_by_key(&mut small, |&e| e);
-    expect.sort_unstable_by_key(|&e| e);
-    assert_eq!(small, expect);
-}
-
 /// Serializes the tests that install the process-global `force_workers`
 /// override, so the policy tests below read the width they forced rather
 /// than a sibling test's. Lock poisoning is ignored — a panicking test
@@ -1296,41 +1186,27 @@ fn worker_override_lock() -> crate::sync::MutexGuard<'static, ()> {
 fn width_is_one_below_the_grain() {
     let _guard = worker_override_lock();
     crate::par::force_workers(8);
-    let below = crate::par::width(1023, 1024, 2);
-    let at = crate::par::width(1024, 1024, 2);
-    let few_items = crate::par::width(3, 1, 2);
+    let none = crate::par::width(0);
+    let one = crate::par::width(1);
+    let many = crate::par::width(1024);
+    let few_items = crate::par::width(3);
     crate::par::force_workers(0);
-    assert_eq!(below, 1, "one item short of the grain stays sequential");
-    assert_eq!(at, 8, "at the grain the site gets every worker");
+    assert_eq!(none, 1, "no items stay sequential");
+    assert_eq!(one, 1, "a single item stays sequential");
+    assert_eq!(many, 8, "from two items on the site gets every worker");
     assert_eq!(few_items, 3, "never more workers than items");
 }
 
 #[test]
 fn width_is_one_below_the_break_even() {
     let _guard = worker_override_lock();
+    crate::par::force_workers(1);
+    let below = crate::par::width(10_000);
     crate::par::force_workers(2);
-    let below = crate::par::width(10_000, 1024, 3);
-    let at = crate::par::width(10_000, 1024, 2);
-    crate::par::force_workers(3);
-    let reached = crate::par::width(10_000, 1024, 3);
+    let at = crate::par::width(10_000);
     crate::par::force_workers(0);
-    assert_eq!(below, 1, "2 workers are below a break-even width of 3");
-    assert_eq!(at, 2);
-    assert_eq!(reached, 3);
-}
-
-#[test]
-fn frontier_engages_at_four_forced_workers_but_not_two() {
-    let _guard = worker_override_lock();
-    crate::par::force_workers(4);
-    let four = crate::cuts::frontier_width(4096);
-    let four_small = crate::cuts::frontier_width(1000);
-    crate::par::force_workers(2);
-    let two = crate::cuts::frontier_width(4096);
-    crate::par::force_workers(0);
-    assert_eq!(four, 4, "4 workers clear the frontier's break-even width");
-    assert_eq!(four_small, 1, "below 1024 cells the plain loop runs");
-    assert_eq!(two, 1, "2 workers lose to the sequential enumeration");
+    assert_eq!(below, 1, "one worker is below the break-even width of 2");
+    assert_eq!(at, 2, "two workers reach it");
 }
 
 #[test]

@@ -282,7 +282,37 @@ fn handle_connection(stream: UnixStream, state: &ServerState) {
         }
         Ok(Request::Flow(request)) => handle_flow(&request, state, &mut writer),
     }
+    settle_cpu_time();
     let _ = writer.flush();
+}
+
+/// Folds this handler thread's running CPU time into the process total
+/// before the reply's last line leaves.
+///
+/// Linux adds a running thread's time to the process clock
+/// (`CLOCK_PROCESS_CPUTIME_ID`) only at a scheduler tick, when the thread
+/// blocks, or when the thread reads its own CPU clock. A handler that
+/// served a short request without blocking would otherwise stay unsettled
+/// until it waits for the next connection, which races the client's read
+/// of `END`: a process-clock reading taken after `END` (an in-process
+/// client, a profiler) then misses up to the whole request. Reading the
+/// thread clock here settles it, so such readings attribute every request
+/// its own CPU time. On other systems this is a no-op.
+fn settle_cpu_time() {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn clock_gettime(clock: i32, ts: *mut [i64; 2]) -> i32;
+        }
+        const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+        let mut ts = [0i64; 2];
+        // The result is unused: the read itself is the point.
+        // SAFETY: `clock_gettime(2)` writes one `struct timespec` (two
+        // 64-bit fields on 64-bit Linux) through a valid, exclusive pointer.
+        unsafe {
+            clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts);
+        }
+    }
 }
 
 /// Runs one `FLOW` request and streams its rows.

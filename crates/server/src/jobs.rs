@@ -74,22 +74,19 @@ fn report_row(name: &str, design: &Design, r: &FlowReport) -> String {
     )
 }
 
-/// Serializes sequential retries of panicked jobs: the retry temporarily
-/// forces one worker process-wide, so two concurrent retries (or a retry
-/// racing a test's own [`par::force_workers`] save/restore) must not
-/// interleave their save/restore pairs.
+/// Serializes sequential retries of panicked verify jobs: the retry
+/// temporarily forces one worker process-wide, so two concurrent retries
+/// (or a retry racing a test's own [`par::force_workers`] save/restore)
+/// must not interleave their save/restore pairs.
 static RETRY_LOCK: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
 
 /// Runs one job supervised and renders its row.
 ///
-/// Containment policy (identical to the historical batch driver, now
-/// applied *before* the row is emitted, since streamed rows cannot be
-/// amended): every failure renders as `FAILED(<reason>)` with a
-/// deterministic reason, and a job that **panicked** while the parallel
-/// fan-outs were active is retried once sequentially — under a process-wide
-/// one-worker override, serialized by [`RETRY_LOCK`] — before being
-/// declared dead. Deterministic faults fail again identically, keeping
-/// output byte-identical across worker counts.
+/// Containment policy (applied *before* the row is emitted, since streamed
+/// rows cannot be amended): every failure renders as `FAILED(<reason>)`
+/// with a deterministic reason. A panicked job is not retried: the flow
+/// fans nothing out at the served `restarts: 1`, so a sequential retry
+/// would rerun the identical program and panic again.
 fn run_job(index: usize, entry: &JobEntry, config: &FlowConfig, limits: &Limits) -> JobRow {
     let name = &entry.name;
     let failed = |reason: String, kind: OutcomeKind| JobRow {
@@ -101,16 +98,7 @@ fn run_job(index: usize, entry: &JobEntry, config: &FlowConfig, limits: &Limits)
         Err(reason) => return failed(reason.clone(), OutcomeKind::Failed),
         Ok(design) => design,
     };
-    let mut outcome = run_flow_supervised(design, config, limits);
-    if matches!(outcome, FlowOutcome::Panicked { .. }) && par::workers() > 1 {
-        // A poisoned retry lock only means another retry panicked while
-        // holding it; the guarded save/restore is still well-formed.
-        let _retry = RETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let previous = par::forced_workers();
-        par::force_workers(1);
-        outcome = run_flow_supervised(design, config, limits);
-        par::force_workers(previous);
-    }
+    let outcome = run_flow_supervised(design, config, limits);
     match outcome {
         FlowOutcome::Ok(res) => JobRow {
             index,
@@ -265,7 +253,12 @@ fn verify_task(
 }
 
 /// Runs one verification job supervised and renders its row — the verify
-/// sibling of [`run_job`], with the same containment and retry policy.
+/// sibling of [`run_job`], with the same containment policy. The margin
+/// trials still fan out, so a job that **panicked** while more than one
+/// worker was active is retried once sequentially — under a process-wide
+/// one-worker override, serialized by [`RETRY_LOCK`] — before being
+/// declared dead. Deterministic faults fail again identically, keeping
+/// output byte-identical across worker counts.
 fn run_verify_job(
     index: usize,
     entry: &JobEntry,
@@ -285,6 +278,8 @@ fn run_verify_job(
     };
     let mut outcome = sfq_core::supervise_task(limits, verify_task(design, config, vopts));
     if matches!(outcome, TaskOutcome::Panicked { .. }) && par::workers() > 1 {
+        // A poisoned retry lock only means another retry panicked while
+        // holding it; the guarded save/restore is still well-formed.
         let _retry = RETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let previous = par::forced_workers();
         par::force_workers(1);

@@ -219,9 +219,9 @@ fn run_trials(
     // Trials are independent and write disjoint slots: 1000 trials at 2
     // workers take 0.54–1.24× the CPU time and 0.40–0.63× the wall time of
     // one worker on the paper-scale Table I designs (best of 5, 2-vCPU x86
-    // host), so the break-even width is 2. No grain: every trial count
-    // above one may split.
-    let workers = sfq_netlist::par::width(out.len(), 1, 2);
+    // host), so the break-even width is 2: every trial count above one may
+    // split.
+    let workers = sfq_netlist::par::width(out.len());
     if workers <= 1 {
         for (t, slot) in out.iter_mut().enumerate() {
             *slot = run_trial(t1_sites, spacing, cfg, t as u32);
