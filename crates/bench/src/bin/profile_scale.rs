@@ -18,7 +18,8 @@
 //!
 //! The benchmarks profile one after another, so no row's stage timings
 //! include another row's contention; `"workers"` in the JSON records the
-//! in-flow worker count (`sfq_netlist::par::workers`).
+//! resolved worker count (`sfq_netlist::par::workers`), which only the
+//! batch drivers use.
 
 use sfq_circuits::Benchmark;
 use sfq_core::{assign_phases, detect_t1, insert_dffs, PhaseEngine};

@@ -24,7 +24,7 @@ fn table_text() -> String {
 fn table1_small_is_worker_count_independent() {
     // Worker counts beyond the host's cores are deliberate oversubscription
     // (capped by par::MAX_WORKERS): single-core CI still exercises the
-    // parallel merges this way. One test fn owns the process-global
+    // batch merges this way. One test fn owns the process-global
     // override, so there is no cross-test race to guard against.
     let reference = table_text();
     for w in [1usize, 2, 4, 8] {

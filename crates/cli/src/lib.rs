@@ -109,13 +109,13 @@ sfqt1 — T1-aware multiphase technology mapping for SFQ circuits
 
 USAGE:
   sfqt1 flow <input.{aag,blif}> [--phases N] [--t1] [--engine auto|exact|heuristic]
-        [--gain-threshold K] [--waves K] [--stats] [--workers N]
+        [--gain-threshold K] [--waves K] [--stats]
         [--blif P] [--dot P] [--vcd P] [--verilog P]
   sfqt1 flow --batch <dir> [--phases N] [--t1] [--engine E] [--gain-threshold K]
         [--keep-going|--fail-fast] [--deadline-ms T] [--max-nodes N]
         [--workers N] [--daemon SOCKET]
   sfqt1 verify <input.{aag,blif}> [--phases N] [--t1] [--engine E] [--gain-threshold K]
-        [--waves K] [--seed S] [--jitter PS] [--period PS] [--trials K] [--workers N]
+        [--waves K] [--seed S] [--jitter PS] [--period PS] [--trials K]
   sfqt1 verify --batch <dir> [--phases N] [--t1] [--engine E] [--gain-threshold K]
         [--keep-going|--fail-fast] [--deadline-ms T] [--max-nodes N]
         [--workers N] [--daemon SOCKET]
@@ -140,10 +140,11 @@ SUBCOMMANDS:
             as a FAILED(reason) row while the rest continue (--keep-going,
             the default) or the batch stops at the first failure
             (--fail-fast); any failure makes the exit code 2.
-            --workers N caps the worker threads the flow's parallel
-            fan-outs use (default: SFQ_WORKERS if set, else the cores the
-            host delivers; results are byte-identical for every worker
-            count, and 1 is the sequential reference run).
+            --workers N (--batch only) caps the worker threads the batch
+            fans its designs over (default: SFQ_WORKERS if set, else the
+            cores the host delivers; one design always runs on one thread,
+            results are byte-identical for every worker count, and 1 is
+            the sequential reference run).
             --daemon SOCKET serves the flow through a running sfqt1d
             instead of computing locally: batches submit designs by path,
             a single <input> is submitted inline, and result rows stream
@@ -262,14 +263,20 @@ fn flow_config(a: &Args) -> Result<FlowConfig, CliError> {
 }
 
 /// Applies `--workers N`: a per-invocation override of the worker-thread
-/// count the parallel fan-outs use, equivalent to `SFQ_WORKERS` without the
-/// environment variable. Rejected together with `--daemon` — the flow then
-/// runs in the daemon's process, whose count is fixed at `sfqt1d` startup
+/// count a batch fans its designs over, equivalent to `SFQ_WORKERS` without
+/// the environment variable. Rejected without `--batch` — a single design
+/// runs on one thread — and together with `--daemon` — the flow then runs
+/// in the daemon's process, whose count is fixed at `sfqt1d` startup
 /// (`sfqt1d --workers N`).
 fn apply_workers_override(a: &Args, cmd: &str) -> Result<(), CliError> {
     let Some(v) = a.option("workers") else {
         return Ok(());
     };
+    if a.option("batch").is_none() {
+        return Err(CliError::Usage(format!(
+            "{cmd}: --workers only applies to --batch"
+        )));
+    }
     if a.option("daemon").is_some() {
         return Err(CliError::Usage(format!(
             "{cmd}: --workers does not combine with --daemon \
@@ -510,8 +517,8 @@ fn load_batch_designs(dir: &str) -> Result<(Vec<BatchEntry>, usize), CliError> {
 ///
 /// Containment policy (owned by the engine): a design that fails —
 /// unparseable, flow error, panic, deadline or node-budget abort — renders
-/// as a `FAILED(<reason>)` row. A panicked design is not retried: the flow
-/// fans nothing out, so a rerun would panic identically. Under
+/// as a `FAILED(<reason>)` row. A panicked design is not retried: a design
+/// runs on one thread, so a rerun would panic identically. Under
 /// `--keep-going` (default) every design runs; `--fail-fast` stops the
 /// output at the first failed row. Either way the run ends with a `batch
 /// summary:` line, and any failure surfaces as [`CliError::Partial`] (exit
@@ -1649,22 +1656,42 @@ mod tests {
 
     #[test]
     fn workers_flag_forces_the_count_and_rejects_bad_values() {
+        let dir = scratch("batch-workersflag");
+        std::fs::create_dir_all(&dir).expect("dir");
+        std::fs::write(dir.join("a.blif"), mux_blif("workersflag_a")).expect("write");
+        std::fs::write(dir.join("b.blif"), mux_blif("workersflag_b")).expect("write");
+        let dir_s = dir.to_str().expect("utf8");
         let aag = scratch("workersflag.aag");
         let aag_s = aag.to_str().expect("utf8 path");
         run_to_string(&["bench", "adder", "--small", "--aag", aag_s]).expect("bench");
 
         let _guard = FORCE_LOCK.lock().expect("force lock");
-        let baseline = run_to_string(&["flow", aag_s, "--t1"]).expect("flow");
-        let forced = run_to_string(&["flow", aag_s, "--t1", "--workers", "3"]).expect("flow");
+        let baseline = run_to_string(&["flow", "--batch", dir_s, "--t1"]).expect("batch");
+        let forced =
+            run_to_string(&["flow", "--batch", dir_s, "--t1", "--workers", "3"]).expect("batch");
         assert_eq!(par::workers(), 3, "--workers installs the override");
         par::force_workers(0);
-        assert_eq!(baseline, forced, "report is worker-count independent");
+        assert_eq!(baseline, forced, "table is worker-count independent");
 
+        let before = par::workers();
+        // A count that differs from the current one, so an installed
+        // override would show.
+        let other = (before % par::MAX_WORKERS + 1).to_string();
         for args in [
-            vec!["flow", aag_s, "--workers", "0"],
-            vec!["flow", aag_s, "--workers", "three"],
-            vec!["flow", aag_s, "--workers", "2", "--daemon", "unused.sock"],
-            vec!["verify", aag_s, "--workers", "0"],
+            vec!["flow", "--batch", dir_s, "--workers", "0"],
+            vec!["flow", "--batch", dir_s, "--workers", "three"],
+            vec![
+                "flow",
+                "--batch",
+                dir_s,
+                "--workers",
+                &other,
+                "--daemon",
+                "unused.sock",
+            ],
+            vec!["verify", "--batch", dir_s, "--workers", "0"],
+            vec!["flow", aag_s, "--t1", "--workers", &other],
+            vec!["verify", aag_s, "--workers", &other],
         ] {
             assert!(
                 matches!(run_to_string(&args), Err(CliError::Usage(_))),
@@ -1672,11 +1699,12 @@ mod tests {
             );
         }
         assert_eq!(
-            par::forced_workers(),
-            0,
+            par::workers(),
+            before,
             "rejected --workers values must not install an override"
         );
         std::fs::remove_file(aag).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The acceptance scenario: a poisoned batch (one parse failure, one

@@ -4,7 +4,7 @@
 //! `SFQ_WORKERS` across release builds, here exercised in-process through
 //! the `force_workers` hook (worker counts beyond the host's cores are
 //! deliberate oversubscription, which is how single-core CI still drives
-//! the parallel merges).
+//! the batch merges).
 //!
 //! Everything lives in one test fn: the worker override is process-global,
 //! and a single owner needs no locking against parallel test threads.

@@ -45,11 +45,9 @@
 //! `restarts − 1` deterministically perturbed ASAP seeds (restart `r` jitters
 //! each clocked cell's ASAP stage by an xorshift stream seeded by `r` alone),
 //! and keeps the state with the lexicographically smallest
-//! `(total cost, restart index)`. Restart results are independent of the
-//! worker partition, so the fan-out at the width
-//! [`sfq_netlist::par::width`] grants is bit-identical to the sequential
-//! loop — and restart count 1 is bit-identical to the single-descent
-//! reference.
+//! `(total cost, restart index)`. The restarts run in index order on the
+//! calling thread, so the flow's node budget charges every descent tick —
+//! and restart count 1 is bit-identical to the single-descent reference.
 
 use crate::chains::{chain_cost_sorted, plan_chain, ChainDemand};
 use crate::dff::emit_planned;
@@ -476,8 +474,8 @@ fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
             if !kind.is_clocked() {
                 continue;
             }
-            // Supervised-flow budget check; a thread-local no-op on restart
-            // workers and whenever no budget is installed.
+            // Supervised-flow budget check; a thread-local no-op whenever no
+            // budget is installed.
             sfq_netlist::budget::tick(1);
             let current = state.stages[id.0 as usize];
             let lo = clocked_lower_bound(net, &state.stages, id);
@@ -725,9 +723,8 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// ASAP stages with a deterministic per-cell jitter of `0..=n` extra stages,
 /// computed in topological order so every seed is feasible by construction.
-/// The jitter stream depends only on the restart index — never on worker
-/// count or scheduling — which is what makes the multi-restart fan-out
-/// bit-identical across hosts.
+/// The jitter stream depends only on the restart index, which is what
+/// makes multi-restart results bit-identical across hosts.
 fn perturbed_asap(core: &EngineCore<'_>, restart: u64) -> Vec<u32> {
     let mut rng = restart
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -872,87 +869,29 @@ impl<'a> TimingEngine<'a> {
     }
 
     /// Multi-restart descent: restart 0 descends from the current state;
-    /// restarts `1..restarts` descend from deterministically perturbed ASAP
-    /// seeds. Keeps the state with the smallest `(total cost, restart
-    /// index)`. The extra restarts fan out through
-    /// [`sfq_netlist::par::map_ordered`] at the width
-    /// [`sfq_netlist::par::width`] grants; the result is bit-identical to
-    /// the sequential loop for any worker count.
+    /// restarts `1..restarts` then descend, in index order on the calling
+    /// thread, from deterministically perturbed ASAP seeds. Keeps the state
+    /// with the smallest `(total cost, restart index)`.
     /// `restarts ≤ 1` is exactly [`TimingEngine::descend`].
     pub fn optimize(&mut self, restarts: usize) {
-        let r = restarts.max(1);
-        if r == 1 {
-            self.descend();
+        self.descend();
+        if restarts <= 1 {
             return;
         }
-        self.ensure_index();
         let core = &self.core;
-        let state = &mut self.state;
-        let run_restart = |i: u64| -> (usize, EngineState) {
-            let stages = perturbed_asap(core, i);
-            let mut st = EngineState::new(core, stages, None)
+        // Best by (cost, restart index); restart 0 (the unperturbed
+        // descent) wins all ties.
+        let mut best_cost = state_total_cost(core, &mut self.state);
+        for i in 1..restarts as u64 {
+            let mut st = EngineState::new(core, perturbed_asap(core, i), None)
                 .expect("perturbed ASAP seeds are feasible by construction");
             descend(core, &mut st);
             let cost = state_total_cost(core, &mut st);
-            (cost, st)
-        };
-        let extra = (r - 1) as u64;
-        // Each restart is a full private descent. Three restarts at 2
-        // workers take 0.9–1.4× the CPU time and 0.5–0.85× the wall time of
-        // one worker on the paper-scale Table I designs (best of 3, 2-vCPU
-        // x86 host), so the second delivered core already pays off.
-        let workers = sfq_netlist::par::width(extra as usize);
-        let mut results: Vec<(usize, EngineState)> = Vec::with_capacity(extra as usize);
-        if workers > 1 {
-            /// One fan-out item: the unperturbed descent of the current
-            /// state, or a contiguous range of perturbed restarts.
-            enum Job<'a> {
-                Incumbent(&'a mut EngineState),
-                Restarts(u64, u64),
-            }
-            // Contiguous index chunks per worker, concatenated in chunk
-            // order: the merge sees restarts in index order regardless of
-            // the partition. Restart 0 is one more item, so it overlaps the
-            // perturbed restarts rather than running ahead of them.
-            let chunk = (extra as usize).div_ceil(workers) as u64;
-            let jobs: Vec<Job> = std::iter::once(Job::Incumbent(state))
-                .chain(
-                    (0..workers as u64)
-                        .map(|w| (1 + w * chunk, (1 + (w + 1) * chunk).min(extra + 1)))
-                        .filter(|(lo, hi)| lo < hi)
-                        .map(|(lo, hi)| Job::Restarts(lo, hi)),
-                )
-                .collect();
-            // `map_ordered` re-raises the lowest-index worker panic with its
-            // original payload, so the supervisor sees the real reason.
-            let parts = sfq_netlist::par::map_ordered(jobs, |job| match job {
-                Job::Incumbent(st) => {
-                    descend(core, st);
-                    Vec::new()
-                }
-                Job::Restarts(lo, hi) => (lo..hi).map(&run_restart).collect(),
-            });
-            results.extend(parts.into_iter().flatten());
-        } else {
-            descend(core, state);
-            for i in 1..=extra {
-                results.push(run_restart(i));
-            }
-        }
-        // Best by (cost, restart index); restart 0 (the unperturbed
-        // descent, now in `self.state`) wins all ties.
-        let mut best_cost = state_total_cost(core, state);
-        let mut winner: Option<EngineState> = None;
-        for (cost, st) in results {
             if cost < best_cost {
                 best_cost = cost;
-                winner = Some(st);
+                self.state = st;
             }
         }
-        if let Some(st) = winner {
-            self.state = st;
-        }
-        self.plans = None;
     }
 
     /// Runs the requested phase-assignment mode on the engine and leaves

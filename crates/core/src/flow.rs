@@ -46,7 +46,8 @@ pub struct FlowConfig {
     /// default is `1`: the single ASAP descent. Extra restarts descend from
     /// deterministically perturbed ASAP seeds and are merged by `(cost,
     /// index)` (see [`TimingEngine::optimize`]); restart 0 is the plain
-    /// descent, so any count ≥ 1 is never worse than `restarts: 1`, and the
+    /// descent, so any count ≥ 1 is never worse than `restarts: 1`. They run
+    /// one after another on the flow's thread, charged to its budget, so the
     /// result is the same for every worker count. They are opt-in because
     /// on the paper's 16 Table I flows restart 0 always won, so by default
     /// extra restarts only cost run time.

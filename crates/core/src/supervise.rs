@@ -24,8 +24,7 @@
 //!
 //! While a supervised closure runs on this thread, the default "thread
 //! panicked" report is suppressed (the panic is expected and captured);
-//! panics on other threads — including scoped workers inside the flow —
-//! still report normally.
+//! panics on other threads still report normally.
 
 use crate::flow::{run_flow_on_design, FlowConfig, FlowError, FlowResult};
 use sfq_netlist::budget::{self, BudgetExceeded};

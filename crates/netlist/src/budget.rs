@@ -14,11 +14,11 @@
 //! Design points:
 //!
 //! * **Thread-local.** The budget lives in a thread-local slot, so ticks on
-//!   scoped worker threads (which never install one) are no-ops. All checks
-//!   therefore happen on the coordinating thread; the parallel fan-outs
-//!   bulk-[`tick`] the same unit totals their sequential bodies would, which
-//!   keeps the *node-ceiling* abort decision identical for every worker
-//!   count.
+//!   a thread that never installed one are no-ops. One design's flow runs
+//!   entirely on the supervising thread (only the batch drivers fan out,
+//!   and a supervised batch design installs its budget on the worker that
+//!   runs it), so every tick is charged and the *node-ceiling* abort
+//!   decision is identical for every worker count.
 //! * **Cheap.** A tick is a thread-local read/write; the wall clock is only
 //!   consulted every [`CLOCK_CHECK_INTERVAL`] ticks (and at every
 //!   [`checkpoint`]), so per-node overhead in the hot loops stays in the

@@ -1,19 +1,16 @@
-//! Worker-count policy and the fan-out primitive of the in-flow parallelism.
+//! Worker-count policy and the fan-out primitive of the batch drivers.
 //!
-//! Two in-flow loops fan out over scoped worker threads: the phase-descent
-//! restarts (`sfq_core`) and the Monte-Carlo margin trials (`sfq_sim`).
-//! The batch drivers fan out one item per design. This module owns the two
-//! policy decisions those fan-outs share — how many workers the host
-//! delivers ([`workers`]) and how many one in-flow site should use
-//! ([`width`]) — and the one primitive every fan-out spawns through
-//! ([`map_ordered`]). Chunking and deterministic merges live next to the
-//! loops they parallelize.
+//! Fan-outs are across designs only: Table I's rows, the corpus table,
+//! `sfqt1 flow/verify --batch` and a daemon request's designs map one item
+//! per design over scoped worker threads. Nothing inside one design's flow
+//! or verification spawns a thread. This module owns how many workers the
+//! host delivers ([`workers`]) and the one primitive every fan-out spawns
+//! through ([`map_ordered`]).
 //!
 //! The default worker count is the parallelism a one-time spin-loop probe
 //! measures, not the number of CPUs the host reports: a 2-vCPU guest that
-//! delivers about one core resolves to one worker, so its fan-outs stay
-//! sequential. `SFQ_WORKERS=1` is the sequential reference run: every
-//! fan-out site then runs its sequential body.
+//! delivers about one core resolves to one worker, so its batches run
+//! sequentially. `SFQ_WORKERS=1` is the sequential reference run.
 
 use crate::sync;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,22 +34,14 @@ pub const MAX_WORKERS: usize = 64;
 /// Forces [`workers`] to return `n` for the rest of the process (`0`
 /// clears the override).
 ///
-/// This is the in-process testing hook: the differential tests use it to
-/// exercise the parallel merges even on single-core hosts. It exists so
+/// This is the in-process testing hook: the worker sweeps use it to
+/// exercise the batch merges even on single-core hosts. It exists so
 /// tests never have to call `std::env::set_var` at runtime (a data race
 /// against concurrent `getenv` on POSIX); the `SFQ_WORKERS` environment
 /// variable serves the same purpose from *outside* the process, where it
 /// is inherited before any thread starts and read exactly once.
 pub fn force_workers(n: usize) {
     FORCED.store(n, Ordering::SeqCst);
-}
-
-/// The current [`force_workers`] override (`0` when none is installed).
-/// Lets callers that need a temporary override (e.g. the batch driver's
-/// sequential retry of a panicked design) save and restore the previous
-/// value instead of clobbering it.
-pub fn forced_workers() -> usize {
-    FORCED.load(Ordering::SeqCst)
 }
 
 /// Validates an `SFQ_WORKERS` value: a positive integer, capped at
@@ -70,17 +59,14 @@ pub fn parse_workers(value: &str) -> Result<usize, String> {
     }
 }
 
-/// Number of scoped worker threads the in-flow fan-outs may use.
+/// Number of scoped worker threads the batch fan-outs may use.
 ///
 /// In order of precedence: a [`force_workers`] override, then the
 /// `SFQ_WORKERS` environment variable (read once, at first use), then the
 /// host's delivered parallelism ([`delivered_parallelism`], probed once per
 /// process). Explicit overrides may exceed the host's core count up to
-/// [`MAX_WORKERS`], which is how single-core CI exercises the parallel
+/// [`MAX_WORKERS`], which is how single-core CI exercises the batch
 /// merges, and they skip the probe.
-///
-/// In-flow fan-out sites should ask [`width`] rather than call this
-/// directly, so that a single item never pays for the probe.
 pub fn workers() -> usize {
     resolve_workers(
         FORCED.load(Ordering::SeqCst),
@@ -128,22 +114,6 @@ fn env_workers() -> Option<usize> {
             }
         },
     })
-}
-
-/// The width an in-flow fan-out site may use for `items` independent
-/// units of work: `1` (run the sequential body) for fewer than two items,
-/// else [`workers`] capped at `items`.
-///
-/// Both in-flow sites (restarts and margin trials) break even at two
-/// workers and amortize their spawns from two items on, so there is no
-/// per-site grain or break-even width. The [`delivered_parallelism`] probe
-/// never runs for a single item. Every site's output is bit-identical at
-/// every width, so this decides cost only, never results.
-pub fn width(items: usize) -> usize {
-    if items < 2 {
-        return 1;
-    }
-    workers().min(items)
 }
 
 /// The parallelism this host delivers to the process, capped at
@@ -330,15 +300,14 @@ fn run_item<T, U>(k: usize, item: T, f: &(impl Fn(T) -> U + Sync)) -> Result<U, 
 /// results **in input order** regardless of scheduling.
 ///
 /// This is the workspace's one fan-out primitive: the batch drivers
-/// (`sfqt1 flow --batch`, the corpus table, Table I) pass one item per
-/// design, and the in-flow sites (the phase-descent restarts, the margin
-/// trials) pass one item per [`width`]-sized chunk. Items are claimed from an atomic cursor, so
+/// (`sfqt1 flow/verify --batch`, the daemon, the corpus table, Table I)
+/// pass one item per design. Items are claimed from an atomic cursor, so
 /// uneven per-item cost balances automatically, every spawn goes through
 /// the crate's `sync` funnel (and so under the `chk` model checker), and
 /// the order-preserving merge keeps the observable output bit-identical for
-/// every worker count. With one worker (a single-core host or
-/// `SFQ_WORKERS=1`) it degenerates to a plain in-order map on the calling
-/// thread with no thread spawns.
+/// every worker count. With fewer than two items or one worker (a
+/// single-core host or `SFQ_WORKERS=1`) it degenerates to a plain in-order
+/// map on the calling thread with no thread spawns.
 ///
 /// A panicking item no longer aborts its worker: every item runs to a
 /// result either way (see [`map_ordered_caught`]), and the panic of the
@@ -415,7 +384,8 @@ where
     E: FnMut(usize, Result<U, ItemPanic>) + Send,
 {
     let n = items.len();
-    let threads = workers().min(n);
+    // Fewer than two items never pay for the delivered-parallelism probe.
+    let threads = if n < 2 { 1 } else { workers().min(n) };
     let mut emit = emit;
     if threads <= 1 {
         for (k, item) in items.into_iter().enumerate() {

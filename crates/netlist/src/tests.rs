@@ -1171,8 +1171,8 @@ fn map_ordered_streamed_emits_every_item_in_input_order() {
 }
 
 /// Serializes the tests that install the process-global `force_workers`
-/// override, so the policy tests below read the width they forced rather
-/// than a sibling test's. Lock poisoning is ignored — a panicking test
+/// override, so each reads the worker count it forced rather than a
+/// sibling test's. Lock poisoning is ignored — a panicking test
 /// already failed; the next one still needs the lock.
 fn worker_override_lock() -> crate::sync::MutexGuard<'static, ()> {
     use crate::sync::{Mutex, OnceLock};
@@ -1180,33 +1180,6 @@ fn worker_override_lock() -> crate::sync::MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-}
-
-#[test]
-fn width_is_one_below_the_grain() {
-    let _guard = worker_override_lock();
-    crate::par::force_workers(8);
-    let none = crate::par::width(0);
-    let one = crate::par::width(1);
-    let many = crate::par::width(1024);
-    let few_items = crate::par::width(3);
-    crate::par::force_workers(0);
-    assert_eq!(none, 1, "no items stay sequential");
-    assert_eq!(one, 1, "a single item stays sequential");
-    assert_eq!(many, 8, "from two items on the site gets every worker");
-    assert_eq!(few_items, 3, "never more workers than items");
-}
-
-#[test]
-fn width_is_one_below_the_break_even() {
-    let _guard = worker_override_lock();
-    crate::par::force_workers(1);
-    let below = crate::par::width(10_000);
-    crate::par::force_workers(2);
-    let at = crate::par::width(10_000);
-    crate::par::force_workers(0);
-    assert_eq!(below, 1, "one worker is below the break-even width of 2");
-    assert_eq!(at, 2, "two workers reach it");
 }
 
 #[test]
@@ -1394,8 +1367,8 @@ fn faultpt_err_action_fires_once_per_armed_count() {
 #[test]
 fn faultpt_panic_action_is_contained_by_map_ordered_caught() {
     use crate::faultpt::{arm_limited, disarm, FaultAction};
-    // The chunked sort's forced-worker test also runs `map_ordered` items;
-    // holding the override lock keeps it from consuming this one-shot fault.
+    // The forced-worker `map_ordered` tests also run items; holding the
+    // override lock keeps them from consuming this one-shot fault.
     let _guard = worker_override_lock();
     // `par.item` contexts are decimal input indices.
     arm_limited("par.item", Some("1"), FaultAction::Panic, 1);

@@ -56,9 +56,10 @@ pub struct ServerConfig {
     pub idle_timeout: Option<Duration>,
     /// Capacity of the shared design cache (entries).
     pub cache_capacity: usize,
-    /// Force the flow fan-outs' worker-thread count for the daemon's
-    /// lifetime (`sfqt1d --workers N`). `None` keeps the default policy:
-    /// `SFQ_WORKERS` if set, else the host's available parallelism.
+    /// Force the worker-thread count each request fans its designs over,
+    /// for the daemon's lifetime (`sfqt1d --workers N`); one design always
+    /// runs on one thread. `None` keeps the default policy: `SFQ_WORKERS`
+    /// if set, else the host's delivered parallelism.
     pub workers: Option<usize>,
     /// Install `SIGTERM`/`SIGINT` handlers that trigger graceful shutdown.
     /// Off for in-process tests, on for the `sfqt1d` binary.

@@ -74,19 +74,13 @@ fn report_row(name: &str, design: &Design, r: &FlowReport) -> String {
     )
 }
 
-/// Serializes sequential retries of panicked verify jobs: the retry
-/// temporarily forces one worker process-wide, so two concurrent retries
-/// (or a retry racing a test's own [`par::force_workers`] save/restore)
-/// must not interleave their save/restore pairs.
-static RETRY_LOCK: crate::sync::Mutex<()> = crate::sync::Mutex::new(());
-
 /// Runs one job supervised and renders its row.
 ///
 /// Containment policy (applied *before* the row is emitted, since streamed
 /// rows cannot be amended): every failure renders as `FAILED(<reason>)`
-/// with a deterministic reason. A panicked job is not retried: the flow
-/// fans nothing out at the served `restarts: 1`, so a sequential retry
-/// would rerun the identical program and panic again.
+/// with a deterministic reason. A panicked job is not retried: one design
+/// runs on one thread at every worker count, so a retry would rerun the
+/// identical program and panic again.
 fn run_job(index: usize, entry: &JobEntry, config: &FlowConfig, limits: &Limits) -> JobRow {
     let name = &entry.name;
     let failed = |reason: String, kind: OutcomeKind| JobRow {
@@ -231,34 +225,14 @@ fn verify_row(name: &str, design: &Design, s: &VerifySuccess) -> String {
     )
 }
 
-/// The whole verification of one design as a single supervised task: map,
-/// then co-simulate the timed artifact against the **original** AIG, then
+/// Runs one verification job supervised and renders its row — the verify
+/// sibling of [`run_job`], with the same containment policy: a panicked
+/// job is not retried either.
+///
+/// The whole verification is a single supervised task: map, then
+/// co-simulate the timed artifact against the **original** AIG, then
 /// Monte-Carlo the analog margins. One envelope contains all three, so a
 /// panic or deadline in any stage yields one classified outcome.
-fn verify_task(
-    design: &Design,
-    config: &FlowConfig,
-    vopts: &VerifyOptions,
-) -> impl FnOnce() -> Result<VerifySuccess, VerifyFailure> {
-    let design = design.clone();
-    let config = config.clone();
-    let vopts = vopts.clone();
-    move || {
-        let flow = run_flow_on_design(&design, &config).map_err(VerifyFailure::Flow)?;
-        let equiv = check_against_aig(&design.aig, &flow.timed, &vopts.equiv)
-            .map_err(VerifyFailure::Equiv)?;
-        let margin = analyze_margins(&flow.timed, &vopts.margin);
-        Ok(VerifySuccess { equiv, margin })
-    }
-}
-
-/// Runs one verification job supervised and renders its row — the verify
-/// sibling of [`run_job`], with the same containment policy. The margin
-/// trials still fan out, so a job that **panicked** while more than one
-/// worker was active is retried once sequentially — under a process-wide
-/// one-worker override, serialized by [`RETRY_LOCK`] — before being
-/// declared dead. Deterministic faults fail again identically, keeping
-/// output byte-identical across worker counts.
 fn run_verify_job(
     index: usize,
     entry: &JobEntry,
@@ -276,16 +250,13 @@ fn run_verify_job(
         Err(reason) => return failed(reason.clone(), OutcomeKind::Failed),
         Ok(design) => design,
     };
-    let mut outcome = sfq_core::supervise_task(limits, verify_task(design, config, vopts));
-    if matches!(outcome, TaskOutcome::Panicked { .. }) && par::workers() > 1 {
-        // A poisoned retry lock only means another retry panicked while
-        // holding it; the guarded save/restore is still well-formed.
-        let _retry = RETRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let previous = par::forced_workers();
-        par::force_workers(1);
-        outcome = sfq_core::supervise_task(limits, verify_task(design, config, vopts));
-        par::force_workers(previous);
-    }
+    let outcome = sfq_core::supervise_task(limits, || -> Result<_, VerifyFailure> {
+        let flow = run_flow_on_design(design, config).map_err(VerifyFailure::Flow)?;
+        let equiv = check_against_aig(&design.aig, &flow.timed, &vopts.equiv)
+            .map_err(VerifyFailure::Equiv)?;
+        let margin = analyze_margins(&flow.timed, &vopts.margin);
+        Ok(VerifySuccess { equiv, margin })
+    });
     match outcome {
         TaskOutcome::Ok(success) => JobRow {
             index,

@@ -18,7 +18,7 @@
 //!   ok/failed/panicked/timed-out counters behind `STATS`;
 //! * [`jobs`] — the streaming job engine shared with `sfqt1 flow --batch`:
 //!   supervised flows fanned over workers, rows emitted in input order as
-//!   they unblock, panicked verify jobs retried once sequentially;
+//!   they unblock, panicked jobs never retried;
 //! * [`queue`] — the closable connection work queue whose stop/drain
 //!   semantics carry the shutdown contract (model-checked under the `chk`
 //!   feature, see [`sync`]);

@@ -420,7 +420,7 @@ pub struct StatsReply {
     pub timed_out: u64,
     /// Shared design-cache counters.
     pub cache: CacheStats,
-    /// Effective worker-thread count of the daemon's flow fan-outs
+    /// Effective worker-thread count each request fans its designs over
     /// (`sfq_netlist::par::workers()` as the serving process resolves it —
     /// `sfqt1d --workers` / `SFQ_WORKERS` override, else the host's
     /// available parallelism).

@@ -23,12 +23,10 @@
 //! The sampler is a deterministic xorshift* + Box–Muller transform, so every
 //! report is reproducible from its seed without external dependencies.
 //! Every trial draws from its **own** stream, derived from
-//! `(config seed, trial index)` by a splitmix64 step — so the report is
-//! identical however the trial range is partitioned, and the trials can
-//! fan out over [`sfq_netlist::par::map_ordered`] without changing a single
-//! sampled value. Per-trial minima are written into a preallocated slice
-//! and reduced in trial order, keeping even the floating-point accumulation
-//! order fixed.
+//! `(config seed, trial index)` by a splitmix64 step, so a trial's samples
+//! depend on nothing but its index. The trials run in index order on the
+//! calling thread and are reduced in that order, keeping even the
+//! floating-point accumulation order fixed.
 //!
 //! # Example
 //!
@@ -205,42 +203,6 @@ fn run_trial(
     (trial_min, trial_hazard)
 }
 
-/// Fills `out[t]` with trial `t`'s `(min separation, hazard)` result,
-/// fanning contiguous chunks out through [`sfq_netlist::par::map_ordered`]
-/// at the width [`sfq_netlist::par::width`] grants (so `SFQ_WORKERS` and
-/// `--workers` bound it like every other fan-out). Every trial owns its RNG
-/// stream, so the results are identical to the sequential path bit for bit.
-fn run_trials(
-    t1_sites: &[(u32, Vec<u32>)],
-    spacing: f64,
-    cfg: &MarginConfig,
-    out: &mut [(f64, bool)],
-) {
-    // Trials are independent and write disjoint slots: 1000 trials at 2
-    // workers take 0.54–1.24× the CPU time and 0.40–0.63× the wall time of
-    // one worker on the paper-scale Table I designs (best of 5, 2-vCPU x86
-    // host), so the break-even width is 2: every trial count above one may
-    // split.
-    let workers = sfq_netlist::par::width(out.len());
-    if workers <= 1 {
-        for (t, slot) in out.iter_mut().enumerate() {
-            *slot = run_trial(t1_sites, spacing, cfg, t as u32);
-        }
-        return;
-    }
-    let chunk = out.len().div_ceil(workers);
-    let parts: Vec<(u32, &mut [(f64, bool)])> = out
-        .chunks_mut(chunk)
-        .enumerate()
-        .map(|(w, slots)| ((w * chunk) as u32, slots))
-        .collect();
-    sfq_netlist::par::map_ordered(parts, |(base, slots)| {
-        for (t, slot) in slots.iter_mut().enumerate() {
-            *slot = run_trial(t1_sites, spacing, cfg, base + t as u32);
-        }
-    });
-}
-
 /// Runs the Monte-Carlo margin analysis over every T1 cell of `timed`.
 ///
 /// # Panics
@@ -265,15 +227,12 @@ pub fn analyze_margins(timed: &TimedNetwork, cfg: &MarginConfig) -> MarginReport
         })
         .collect();
 
-    let mut results = vec![(f64::INFINITY, false); cfg.trials as usize];
-    run_trials(&t1_sites, spacing, cfg, &mut results);
-
-    // Reduce in trial order: the report (including the floating-point sum)
-    // is independent of how run_trials partitioned the work.
+    // Reduce in trial order, which fixes the floating-point sum.
     let mut hazardous_trials = 0u32;
     let mut worst = f64::INFINITY;
     let mut sum_min = 0.0f64;
-    for &(trial_min, trial_hazard) in &results {
+    for trial in 0..cfg.trials {
+        let (trial_min, trial_hazard) = run_trial(&t1_sites, spacing, cfg, trial);
         if trial_hazard {
             hazardous_trials += 1;
         }

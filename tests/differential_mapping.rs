@@ -264,28 +264,12 @@ fn differential_table1_benchmarks_paper_scale() {
     }
 }
 
-/// Serializes the tests that install the process-global `force_workers`
-/// override, so one test's forced count can never bleed into another's
-/// measurement window. Lock poisoning is ignored — a panicking test already
-/// failed; the next one still needs the lock.
-fn worker_override_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Multi-restart descent tier: the restart merge must be bit-identical for
-/// any worker count (the perturbation stream depends only on the restart
-/// index, and the merge picks the smallest `(cost, index)`), restart count 1
-/// must equal the plain single descent, and extra restarts must never make
-/// the result worse. Exercised with the worker override held under
-/// [`worker_override_lock`] so the sequential arm really runs the
-/// sequential loop, and the forced-4 arm exercises the restart fan-out
-/// through `sfq_netlist::par::map_ordered`.
+/// Multi-restart descent tier: restart count 1 must equal the plain single
+/// descent, and extra restarts must never make the result worse (restart 0
+/// is the unperturbed descent and the merge keeps the smallest `(cost,
+/// index)`).
 #[test]
 fn differential_multi_restart_determinism() {
-    let _guard = worker_override_lock();
     let lib = Library::default();
     let cut_config = CutConfig::default();
     const RESTARTS: usize = 5;
@@ -296,19 +280,13 @@ fn differential_multi_restart_determinism() {
         let subject = detect_t1(&mapped, &lib, &cut_config).network;
 
         let single = assign_phases(&subject, 4, PhaseEngine::Heuristic).expect("feasible");
-        sfq_netlist::par::force_workers(1);
-        let seq =
-            assign_phases_with_restarts(&subject, 4, PhaseEngine::Heuristic, RESTARTS).unwrap();
-        sfq_netlist::par::force_workers(4);
-        let par =
+        let multi =
             assign_phases_with_restarts(&subject, 4, PhaseEngine::Heuristic, RESTARTS).unwrap();
         let one = assign_phases_with_restarts(&subject, 4, PhaseEngine::Heuristic, 1).unwrap();
-        sfq_netlist::par::force_workers(0);
 
-        assert_eq!(seq, par, "{name}: restart merge depends on worker count");
         assert_eq!(one, single, "{name}: restarts=1 must be the plain descent");
         let d_single = insert_dffs(&subject, &single, 4).unwrap().num_dffs();
-        let d_multi = insert_dffs(&subject, &par, 4).unwrap().num_dffs();
+        let d_multi = insert_dffs(&subject, &multi, 4).unwrap().num_dffs();
         assert!(
             d_multi <= d_single,
             "{name}: multi-restart made the result worse ({d_multi} > {d_single} DFFs)"
@@ -318,16 +296,14 @@ fn differential_multi_restart_determinism() {
 
 /// The flow's default is the single plain descent: every `FlowConfig`
 /// constructor carries `restarts: 1`, and `FlowConfig::t1(4)` produces a
-/// result byte-identical to an explicit `restarts: 1` flow at every forced
-/// worker count. Opt-in multi-restart search (`restarts: 4` and `8`) must
-/// never give more DFFs or more area than the single descent: restart 0 is
-/// the unperturbed plain descent and the merge keeps the smallest `(cost,
-/// index)`, so extra restarts can only improve — however many workers run
-/// them.
+/// result byte-identical to an explicit `restarts: 1` flow. Opt-in
+/// multi-restart search (`restarts: 4` and `8`) must never give more DFFs
+/// or more area than the single descent: restart 0 is the unperturbed plain
+/// descent and the merge keeps the smallest `(cost, index)`, so extra
+/// restarts can only improve.
 #[test]
 fn default_restarts_never_worse_than_single() {
     use sfq_core::{run_flow, FlowConfig};
-    let _guard = worker_override_lock();
     for cfg in [
         FlowConfig::single_phase(),
         FlowConfig::multiphase(4),
@@ -345,33 +321,27 @@ fn default_restarts_never_worse_than_single() {
             };
             run_flow(&aig, &cfg).expect("flow")
         };
-        for workers in [1usize, 4, 8] {
-            sfq_netlist::par::force_workers(workers);
-            let default = run_flow(&aig, &FlowConfig::t1(4)).expect("default flow");
-            let single = with_restarts(1);
-            let multi = [4usize, 8].map(|r| (r, with_restarts(r)));
-            sfq_netlist::par::force_workers(0);
+        let default = run_flow(&aig, &FlowConfig::t1(4)).expect("default flow");
+        let single = with_restarts(1);
 
-            let stage = format!("default vs restarts=1 at {workers} workers");
-            assert_identical(name, &stage, &default.timed.network, &single.timed.network);
-            assert_eq!(default.timed.stages, single.timed.stages, "{name}: {stage}");
-            assert_eq!(default.report, single.report, "{name}: {stage}");
-            for (restarts, m) in multi {
-                assert!(
-                    m.report.num_dffs <= single.report.num_dffs,
-                    "{name}: restarts={restarts} worsened DFFs at {workers} workers \
-                     ({} > {})",
-                    m.report.num_dffs,
-                    single.report.num_dffs
-                );
-                assert!(
-                    m.report.area <= single.report.area,
-                    "{name}: restarts={restarts} worsened area at {workers} workers \
-                     ({} > {})",
-                    m.report.area,
-                    single.report.area
-                );
-            }
+        let stage = "default vs restarts=1";
+        assert_identical(name, stage, &default.timed.network, &single.timed.network);
+        assert_eq!(default.timed.stages, single.timed.stages, "{name}: {stage}");
+        assert_eq!(default.report, single.report, "{name}: {stage}");
+        for restarts in [4usize, 8] {
+            let m = with_restarts(restarts);
+            assert!(
+                m.report.num_dffs <= single.report.num_dffs,
+                "{name}: restarts={restarts} worsened DFFs ({} > {})",
+                m.report.num_dffs,
+                single.report.num_dffs
+            );
+            assert!(
+                m.report.area <= single.report.area,
+                "{name}: restarts={restarts} worsened area ({} > {})",
+                m.report.area,
+                single.report.area
+            );
         }
     }
 }
