@@ -727,14 +727,13 @@ pub(crate) fn auto_takes_exact(net: &Network, t1_cells: usize) -> bool {
 /// every instance the test oracle uses.
 pub(crate) const EXACT_NODE_LIMIT: usize = 200_000;
 
-/// Node budget of [`PhaseEngine::Auto`]'s bounded-effort exact runs:
-/// bounds any single phase assignment to about a quarter second (each node
-/// re-solves an LP, ≈ 0.5 ms on 40-cell instances: the criterion gate
-/// `assign_phases/c7552_4_t1`, whose 264-row LPs average 112 pivots, runs
-/// all 500 nodes in 220–340 ms on a 2-vCPU Xeon) while still closing small
-/// gaps over the heuristic incumbent — on the adder8 probe, 500 nodes keep
-/// the full n = 2 improvement (77 → 71 DFFs) found by the unbounded
-/// engine.
+/// Node budget of [`PhaseEngine::Auto`]'s bounded-effort exact runs. Each
+/// node is a warm dual-simplex re-solve from the previous node's basis:
+/// the criterion gate `assign_phases/c7552_4_t1`, whose 169-row LPs take
+/// 1,343 pivots over all 500 nodes (≈ 2.7 per node), runs in 6–9 ms on a
+/// 2-vCPU Xeon, ≈ 15 µs per node. The budget still closes small gaps over
+/// the heuristic incumbent — on the adder8 probe, 500 nodes keep the full
+/// n = 2 improvement (77 → 71 DFFs) found by the unbounded engine.
 pub(crate) const AUTO_NODE_LIMIT: usize = 500;
 
 // ======================================================================

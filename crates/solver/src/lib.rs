@@ -7,10 +7,10 @@
 //!
 //! * [`MilpProblem`] — minimize a linear objective over continuous and
 //!   integer variables with linear constraints. Solved by branch & bound
-//!   over a two-phase primal [`simplex`] with Bland's rule, whose pivots
-//!   touch only the pivot row's nonzeros — the same pivot sequence as a
-//!   dense tableau, at a fraction of the work on the flow's sparse
-//!   formulations.
+//!   over a bounded-variable [`simplex`]: one working tableau serves the
+//!   whole search, and each node is re-solved by the dual simplex from the
+//!   basis the previous node ended in, with pivots that touch only the
+//!   pivot row's nonzeros.
 //! * [`CpModel`] — bounded integer variables, linear constraints,
 //!   `all_different`, and branch-and-bound minimization with bounds
 //!   propagation.

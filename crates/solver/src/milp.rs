@@ -1,12 +1,18 @@
 //! Mixed-integer linear programming by branch & bound.
 //!
-//! LP relaxations are solved by the [`crate::simplex`] module; branching is
-//! most-fractional-variable with depth-first search and incumbent pruning.
-//! Exactness is what the flow needs from this layer (the paper reports
-//! optimally retimed DFF counts); scale is handled upstream by only sending
-//! compact formulations here.
+//! Branching is most-fractional-variable (within branch priorities) with
+//! depth-first search and incumbent pruning. One working
+//! [`crate::simplex`] tableau serves the whole search: each popped node
+//! only changes structural bounds, so its LP relaxation is re-solved by the
+//! dual simplex from the basis the previous node ended in, with no basis or
+//! tableau stored per node. A warm re-solve that hits its iteration cap is
+//! retried once, cold, on a tableau rebuilt from the original rows. An
+//! integer point becomes the incumbent only if it is feasible for the
+//! original problem. Exactness is what the flow needs from this layer (the
+//! paper reports optimally retimed DFF counts); scale is handled upstream
+//! by only sending compact formulations here.
 
-use crate::simplex::{Cmp, LpProblem, SolverError};
+use crate::simplex::{Cmp, LpProblem, LpSolution, SolverError, Tableau};
 
 /// Handle to a MILP variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -198,8 +204,9 @@ impl MilpProblem {
                 incumbent = Some((self.lp.objective_value(ws), ws.clone()));
             }
         }
-        // One working LP; each node overwrites every bound before solving.
-        let mut lp = self.lp.clone();
+        // One working tableau; each node overwrites every bound before its
+        // warm re-solve.
+        let mut tab = Tableau::new(&self.lp);
         let mut nodes = 0usize;
         let mut lp_pivots = 0usize;
         let mut hit_limit = false;
@@ -218,10 +225,7 @@ impl MilpProblem {
             if node.bounds.iter().any(|&(lb, ub)| lb > ub + INT_TOL) {
                 continue; // empty box
             }
-            for (v, &(lb, ub)) in node.bounds.iter().enumerate() {
-                lp.set_bounds(v, lb, ub);
-            }
-            let sol = match lp.solve_counted(&mut lp_pivots) {
+            let sol = match solve_node(&mut tab, &self.lp, &node.bounds, &mut lp_pivots) {
                 Ok(s) => s,
                 Err(SolverError::Infeasible) => continue,
                 Err(e) => return Err(e),
@@ -255,13 +259,22 @@ impl MilpProblem {
             let branch_var = branch_var.map(|(v, _, d)| (v, d));
             match branch_var {
                 None => {
-                    // Integer feasible.
+                    // Integer feasible: snap the integers and accept the
+                    // point only if the original problem agrees.
+                    let mut point = sol.values;
+                    for (x, _) in point.iter_mut().zip(&self.integer).filter(|(_, &int)| int) {
+                        *x = x.round();
+                    }
+                    if !self.lp.is_feasible(&point) {
+                        continue;
+                    }
+                    let objective = self.lp.objective_value(&point);
                     let better = incumbent
                         .as_ref()
-                        .map(|(best, _)| sol.objective < *best - 1e-9)
+                        .map(|(best, _)| objective < *best - 1e-9)
                         .unwrap_or(true);
                     if better {
-                        incumbent = Some((sol.objective, sol.values.clone()));
+                        incumbent = Some((objective, point));
                     }
                 }
                 Some((v, _)) => {
@@ -315,5 +328,33 @@ impl MilpProblem {
                 }
             }
         }
+    }
+}
+
+/// Re-solves one node's LP relaxation on the working tableau under the
+/// node's `bounds`, adding its pivots to `pivots`. A warm re-solve that
+/// hits its iteration cap is retried once from a tableau rebuilt from the
+/// original rows (the slack basis) before the limit surfaces.
+pub(crate) fn solve_node<'a>(
+    tab: &mut Tableau<'a>,
+    lp: &'a LpProblem,
+    bounds: &[(f64, f64)],
+    pivots: &mut usize,
+) -> Result<LpSolution, SolverError> {
+    let mut attempt = |tab: &mut Tableau<'a>| {
+        for (v, &(lb, ub)) in bounds.iter().enumerate() {
+            tab.set_bounds(v, lb, ub);
+        }
+        let before = tab.pivots();
+        let result = tab.solve();
+        *pivots += tab.pivots() - before;
+        result
+    };
+    match attempt(tab) {
+        Err(SolverError::IterationLimit) => {
+            *tab = Tableau::new(lp);
+            attempt(tab)
+        }
+        result => result,
     }
 }

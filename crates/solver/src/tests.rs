@@ -1,6 +1,7 @@
 use crate::cp::{CpModel, CpStatus};
+use crate::milp::solve_node;
 use crate::milp::{MilpProblem, MilpStatus};
-use crate::simplex::{Cmp, LpProblem, LpSolution, SolverError};
+use crate::simplex::{Cmp, LpProblem, LpSolution, SolverError, Tableau, REFACTOR_EVERY};
 use proptest::prelude::*;
 
 // ------------------------------------------------------------------ LP ----
@@ -77,8 +78,8 @@ fn lp_rejects_bad_bounds() {
 
 #[test]
 fn lp_degenerate_no_cycle() {
-    // Degenerate vertex (multiple constraints meeting): Bland's rule must
-    // still terminate.
+    // Degenerate vertex (multiple constraints meeting): the primal pass's
+    // Bland rule must still terminate.
     let mut lp = LpProblem::new();
     let x = lp.add_var(0.0, f64::INFINITY, -0.75);
     let y = lp.add_var(0.0, f64::INFINITY, 150.0);
@@ -96,10 +97,12 @@ fn lp_degenerate_no_cycle() {
 
 // ------------------------------------------- kernel edge paths (pinned) ----
 //
-// The simplex kernel must follow one pivot sequence bit for bit: branch &
-// bound's node order, and so every golden, hangs on it. These LPs each
-// steer the kernel down one edge path; their values, objective and pivot
-// count are pinned as IEEE-754 bit patterns.
+// Every solve is bit-reproducible: the same LP under the same bounds takes
+// the same pivots to the same bits. The goldens hang on each MILP's
+// incumbent rather than on one pivot sequence, but a drift in the kernel's
+// rules would still show first here: these LPs each steer the kernel down
+// one edge path, and their values, objective and pivot count are pinned as
+// IEEE-754 bit patterns.
 
 /// `(objective bits, value bits, pivots)` of a solve.
 fn lp_bits(sol: &LpSolution) -> (u64, Vec<u64>, usize) {
@@ -120,10 +123,58 @@ fn pinned(objective: f64, values: &[f64], pivots: usize) -> (u64, Vec<u64>, usiz
 }
 
 #[test]
-fn lp_redundant_equality_keeps_its_artificial_basic() {
-    // The second equality is twice the first: phase 1 zeroes its row, no
-    // structural or slack column can drive the artificial out, and it
-    // stays basic (at zero) through phase 2.
+fn lp_boxed_nonbasic_flips_bound() {
+    // y has no upper bound and a negative cost, so the slack basis is not
+    // dual feasible and the primal pass runs. Once y is basic on the first
+    // row, x prices in, and its own box [0, 1] is the shortest step: x
+    // flips to its upper bound without a pivot.
+    let mut lp = LpProblem::new();
+    let x = lp.add_var(0.0, 1.0, 1.0);
+    let y = lp.add_var(0.0, f64::INFINITY, -2.0);
+    lp.add_constraint(&[(y, 1.0), (x, -1.0)], Cmp::Le, 3.0);
+    lp.add_constraint(&[(y, 1.0)], Cmp::Le, 10.0);
+    let pin = pinned(-7.0, &[1.0, 4.0], 1);
+    assert_eq!(lp_bits(&lp.solve().unwrap()), pin);
+}
+
+#[test]
+fn lp_infeasible_node_then_feasible_warm_resolve() {
+    // A branch & bound shape: the working tableau proves one box empty,
+    // then re-solves a sibling box from the basis the failed solve left.
+    let mut lp = LpProblem::new();
+    let x = lp.add_var(0.0, 6.0, -1.0);
+    let y = lp.add_var(0.0, 6.0, -1.0);
+    lp.add_constraint(&[(x, 2.0), (y, 3.0)], Cmp::Le, 12.0);
+    lp.add_constraint(&[(x, 3.0), (y, 2.0)], Cmp::Le, 12.0);
+    lp.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Ge, -1.5);
+    let mut tab = Tableau::new(&lp);
+    let root = tab.solve().unwrap();
+    assert_eq!(
+        lp_bits(&root),
+        pinned(-4.8, &[2.4000000000000004, 2.3999999999999995], 2)
+    );
+    tab.set_bounds(x, 0.0, 0.0);
+    tab.set_bounds(y, 2.0, 6.0);
+    assert_eq!(tab.solve().unwrap_err(), SolverError::Infeasible);
+    tab.set_bounds(x, 0.0, 2.0);
+    tab.set_bounds(y, 0.0, 6.0);
+    let warm = tab.solve().unwrap();
+    assert_eq!(
+        lp_bits(&warm),
+        pinned(-4.666666666666666, &[2.0, 2.6666666666666665], 1)
+    );
+    let mut cold = lp.clone();
+    cold.set_bounds(x, 0.0, 2.0);
+    assert!((cold.solve().unwrap().objective - warm.objective).abs() < 1e-9);
+}
+
+#[test]
+fn lp_redundant_equality_fixes_its_logical() {
+    // The second equality is twice the first, so their logicals — fixed
+    // at [7.5, 7.5] and [15, 15] — are dependent. The larger violation
+    // pivots the second one out; the first row then reads r₁ = r₂ / 2, and
+    // its logical stays basic inside its fixed box for good: a fixed column
+    // never enters, and a satisfied row never leaves.
     let mut lp = LpProblem::new();
     let x = lp.add_var(0.5, 10.0, -1.0);
     let y = lp.add_var(0.0, 10.0, 0.3);
@@ -133,7 +184,7 @@ fn lp_redundant_equality_keeps_its_artificial_basic() {
     lp.add_constraint(&[(x, 1.0), (z, -1.0)], Cmp::Ge, 0.25);
     let pin = pinned(
         -9.916666666666668,
-        &[2.666666666666667, 0.0, 2.4166666666666665],
+        &[2.6666666666666665, 0.0, 2.416666666666667],
         2,
     );
     assert_eq!(lp_bits(&lp.solve().unwrap()), pin);
@@ -142,8 +193,10 @@ fn lp_redundant_equality_keeps_its_artificial_basic() {
 #[test]
 fn lp_dense_pivot_row_has_no_zero_to_skip() {
     // One ≥ row over every variable and no upper bounds: the tableau has a
-    // single row in which every column (structural, surplus, artificial,
-    // right-hand side) is nonzero, and Bland walks four columns through it.
+    // single row in which every column (structural and logical) is
+    // nonzero. The dual ratio test picks the cheapest repair per unit of
+    // row activity, w at 0.9 / 0.45, and one pivot through the full row
+    // finishes.
     let mut lp = LpProblem::new();
     let cost = [5.0, 3.0, 1.7, 0.9];
     let coef = [1.0, 0.9, 0.7, 0.45];
@@ -153,22 +206,21 @@ fn lp_dense_pivot_row_has_no_zero_to_skip() {
         .collect();
     let terms: Vec<(usize, f64)> = vars.iter().zip(coef).map(|(&v, a)| (v, a)).collect();
     lp.add_constraint(&terms, Cmp::Ge, 3.3);
-    let pin = pinned(6.6, &[0.0, 0.0, 0.0, 7.333333333333333], 4);
+    let pin = pinned(6.6, &[0.0, 0.0, 0.0, 7.333333333333333], 1);
     assert_eq!(lp_bits(&lp.solve().unwrap()), pin);
 }
 
 #[test]
-fn lp_degenerate_ratio_tie_goes_to_the_smaller_basic_column() {
-    // Both rows hit ratio 0 when x enters. Row 0's basic column is its
-    // artificial, row 1's is its slack — a smaller index — so Bland's
-    // tie-break picks the later row, not the first one scanned.
+fn lp_degenerate_dual_ratio_tie_goes_to_the_smaller_column() {
+    // The violated ≥ row can be repaired by x or y, both at a zero
+    // reduced cost: a dual ratio tie at 0. The smaller column wins, even
+    // though y's larger entry would be the steeper pivot.
     let mut lp = LpProblem::new();
-    let x = lp.add_var(0.0, f64::INFINITY, -1.0);
-    let y = lp.add_var(0.0, f64::INFINITY, -2.0);
-    lp.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Ge, 0.0);
-    lp.add_constraint(&[(x, 1.0), (y, -3.0)], Cmp::Le, 0.0);
-    lp.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
-    let pin = pinned(-6.0, &[2.0, 2.0], 4);
+    let x = lp.add_var(0.0, 5.0, 0.0);
+    let y = lp.add_var(0.0, 5.0, 0.0);
+    let z = lp.add_var(0.0, 5.0, 1.0);
+    lp.add_constraint(&[(x, 1.0), (y, 2.0), (z, 1.0)], Cmp::Ge, 2.0);
+    let pin = pinned(0.0, &[2.0, 0.0, 0.0], 1);
     assert_eq!(lp_bits(&lp.solve().unwrap()), pin);
 }
 
@@ -708,5 +760,362 @@ proptest! {
             }
             None => prop_assert_eq!(sol.status, CpStatus::Infeasible),
         }
+    }
+}
+
+// ----------------------------------------- warm start and refactoring ----
+
+/// A deterministic LP with mixed rows, negative costs and a redundant
+/// equality, big enough that warm re-solves pivot.
+fn mixed_lp() -> LpProblem {
+    let mut lp = LpProblem::new();
+    let vars: Vec<usize> = (0..9)
+        .map(|i| lp.add_var(0.0, 4.0 + (i % 4) as f64, ((i * 7) % 5) as f64 - 2.0))
+        .collect();
+    for r in 0..7 {
+        let terms: Vec<(usize, f64)> = vars
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| (i + r) % 3 != 0)
+            .map(|(i, &v)| (v, ((i * 5 + r * 3) % 7) as f64 - 2.5))
+            .collect();
+        let cmp = [Cmp::Le, Cmp::Ge, Cmp::Le][r % 3];
+        lp.add_constraint(&terms, cmp, 6.0 - r as f64);
+    }
+    let pair = [(vars[0], 1.0), (vars[4], 1.0), (vars[8], -1.0)];
+    lp.add_constraint(&pair, Cmp::Eq, 2.0);
+    let doubled: Vec<(usize, f64)> = pair.iter().map(|&(v, a)| (v, 2.0 * a)).collect();
+    lp.add_constraint(&doubled, Cmp::Eq, 4.0);
+    lp
+}
+
+/// Status and objective of a solve, for warm/cold comparison.
+fn outcome(result: &Result<LpSolution, SolverError>) -> Result<f64, SolverError> {
+    result.as_ref().map(|s| s.objective).map_err(Clone::clone)
+}
+
+fn same_outcome(warm: &Result<f64, SolverError>, cold: &Result<f64, SolverError>) -> bool {
+    match (warm, cold) {
+        (Ok(w), Ok(c)) => (w - c).abs() <= 1e-6,
+        (w, c) => w == c,
+    }
+}
+
+#[test]
+fn refactor_keeps_the_objective() {
+    let lp = mixed_lp();
+    let mut tab = Tableau::new(&lp);
+    let first = tab.solve().unwrap();
+    let mut rebuilt = tab.clone();
+    rebuilt.refactor();
+    let again = rebuilt.solve().unwrap();
+    assert_eq!(again.pivots, 0, "a rebuilt optimal basis stays optimal");
+    assert!((again.objective - first.objective).abs() < 1e-9);
+    // Both tableaus take the same bound changes to the same optima.
+    for (v, ub) in [(2, 1.0), (5, 0.0), (7, 2.0), (2, 6.0)] {
+        tab.set_bounds(v, 0.0, ub);
+        rebuilt.set_bounds(v, 0.0, ub);
+        let (a, b) = (tab.solve(), rebuilt.solve());
+        assert!(same_outcome(&outcome(&a), &outcome(&b)), "{a:?} vs {b:?}");
+    }
+}
+
+#[test]
+fn warm_resolves_across_the_refactor_schedule_match_cold() {
+    // A long branch-and-bound-like walk on one tableau: enough pivots that
+    // the rows are rebuilt on schedule several times along the way.
+    let lp = mixed_lp();
+    let mut tab = Tableau::new(&lp);
+    let mut cur = lp.clone();
+    let mut step = 0usize;
+    while tab.pivots() < 3 * REFACTOR_EVERY {
+        step += 1;
+        assert!(step < 20_000, "the walk stopped pivoting");
+        let v = (step * 5) % lp.num_vars();
+        let (_, ub) = lp.bounds(v);
+        let cut = ((step * 3) % 5) as f64;
+        let (lo, hi) = if step.is_multiple_of(2) {
+            (0.0, cut.min(ub))
+        } else {
+            (cut.min(ub), ub)
+        };
+        let (lo, hi) = if step.is_multiple_of(7) {
+            (0.0, ub)
+        } else {
+            (lo, hi)
+        };
+        tab.set_bounds(v, lo, hi);
+        cur.set_bounds(v, lo, hi);
+        let (warm, cold) = (tab.solve(), cur.solve());
+        assert!(
+            same_outcome(&outcome(&warm), &outcome(&cold)),
+            "step {step}: {warm:?} vs {cold:?}"
+        );
+        if let Ok(sol) = &warm {
+            assert!(cur.is_feasible(&sol.values), "step {step}");
+        }
+    }
+}
+
+#[test]
+fn node_retries_cold_after_the_warm_iteration_cap() {
+    let lp = mixed_lp();
+    let bounds: Vec<(f64, f64)> = (0..lp.num_vars()).map(|v| lp.bounds(v)).collect();
+    let mut capped = Tableau::new(&lp);
+    capped.max_iter = 0;
+    assert_eq!(capped.solve().unwrap_err(), SolverError::IterationLimit);
+    let mut pivots = 0;
+    let sol = solve_node(&mut capped, &lp, &bounds, &mut pivots).unwrap();
+    let cold = lp.solve().unwrap();
+    assert!((sol.objective - cold.objective).abs() < 1e-9);
+    assert_eq!(pivots, cold.pivots, "the capped attempt made no pivot");
+}
+
+/// One random LP: per variable `(lb, span, bounded, cost)` — `bounded == 0`
+/// means no upper bound; per row `(coefficients, cmp, rhs)`.
+type RandomVar = (i32, i32, u8, i32);
+type RandomRow = (Vec<i32>, u8, i32);
+/// A built row: `(terms, cmp, rhs)`.
+type BuiltRow = (Vec<(usize, f64)>, Cmp, f64);
+
+fn cmp_of(code: u8) -> Cmp {
+    [Cmp::Le, Cmp::Ge, Cmp::Eq][code as usize % 3]
+}
+
+/// The rows of a random LP as `(terms, cmp, rhs)`. With `anchored`, each
+/// right-hand side is instead placed `|rhs| mod 3` on the feasible side of
+/// the box's integer midpoint, so the root is feasible; with `redundant`,
+/// row 0 is added again, doubled.
+fn random_rows_of(
+    vars: &[RandomVar],
+    rows: &[RandomRow],
+    anchored: bool,
+    redundant: bool,
+) -> Vec<BuiltRow> {
+    let mut out: Vec<BuiltRow> = rows
+        .iter()
+        .map(|(coefs, code, rhs)| {
+            let cmp = cmp_of(*code);
+            let rhs = if anchored {
+                let at: i32 = vars
+                    .iter()
+                    .zip(coefs)
+                    .map(|(&(lb, span, _, _), a)| a * (lb + span / 2))
+                    .sum();
+                match cmp {
+                    Cmp::Le => at + rhs.abs() % 3,
+                    Cmp::Ge => at - rhs.abs() % 3,
+                    Cmp::Eq => at,
+                }
+            } else {
+                *rhs
+            };
+            let terms = (0..vars.len()).map(|v| (v, f64::from(coefs[v]))).collect();
+            (terms, cmp, f64::from(rhs))
+        })
+        .collect();
+    if redundant {
+        let (terms, cmp, rhs) = out[0].clone();
+        let doubled = terms.iter().map(|&(v, a)| (v, 2.0 * a)).collect();
+        out.push((doubled, cmp, 2.0 * rhs));
+    }
+    out
+}
+
+/// Builds the LP of [`random_rows_of`].
+fn random_lp(vars: &[RandomVar], rows: &[RandomRow], anchored: bool, redundant: bool) -> LpProblem {
+    let mut lp = LpProblem::new();
+    for &(lb, span, bounded, cost) in vars {
+        let ub = if bounded == 0 {
+            f64::INFINITY
+        } else {
+            f64::from(lb + span)
+        };
+        lp.add_var(f64::from(lb), ub, f64::from(cost));
+    }
+    for (terms, cmp, rhs) in random_rows_of(vars, rows, anchored, redundant) {
+        lp.add_constraint(&terms, cmp, rhs);
+    }
+    lp
+}
+
+/// Warm re-solves on one tableau under a sequence of bound tightenings
+/// and relaxations must match a cold solve of the same bounds, step by
+/// step, and every returned point must be feasible.
+fn check_warm_against_cold(
+    vars: &[RandomVar],
+    rows: &[RandomRow],
+    shape: u8,
+    steps: &[(usize, u8, i32)],
+) -> Result<(), TestCaseError> {
+    let lp = random_lp(
+        vars,
+        rows,
+        !shape.is_multiple_of(4),
+        shape.is_multiple_of(3),
+    );
+    let mut tab = Tableau::new(&lp);
+    let mut cur = lp.clone();
+    let first = (tab.solve(), lp.solve());
+    prop_assert!(
+        same_outcome(&outcome(&first.0), &outcome(&first.1)),
+        "root: {:?} vs {:?}",
+        first.0,
+        first.1
+    );
+    for (k, &(var, kind, value)) in steps.iter().enumerate() {
+        let v = var % lp.num_vars();
+        let (lb, ub) = cur.bounds(v);
+        let (root_lb, root_ub) = lp.bounds(v);
+        let value = f64::from(value);
+        let (lb, ub) = match kind % 5 {
+            0 => (value.max(lb).min(ub), ub),
+            1 => (lb, value.min(ub).max(lb)),
+            2 => (root_lb, root_ub),
+            3 => (lb, f64::INFINITY),
+            _ => {
+                let at = value.max(lb).min(ub);
+                (at, at)
+            }
+        };
+        tab.set_bounds(v, lb, ub);
+        cur.set_bounds(v, lb, ub);
+        let (warm, cold) = (tab.solve(), cur.solve());
+        prop_assert!(
+            same_outcome(&outcome(&warm), &outcome(&cold)),
+            "step {k}: warm {:?} vs cold {:?}",
+            outcome(&warm),
+            outcome(&cold)
+        );
+        for sol in [&warm, &cold].into_iter().flatten() {
+            prop_assert!(cur.is_feasible(&sol.values), "step {k}: infeasible point");
+        }
+    }
+    Ok(())
+}
+
+/// Branch & bound on a pure-integer program in a small box must equal
+/// exhaustive enumeration of the box.
+fn check_milp_against_enumeration(
+    vars: &[(i32, i32, i32)],
+    rows: &[RandomRow],
+    shape: u8,
+) -> Result<(), TestCaseError> {
+    let boxed: Vec<RandomVar> = vars.iter().map(|&(lb, span, c)| (lb, span, 1, c)).collect();
+    let (anchored, redundant) = (!shape.is_multiple_of(4), shape.is_multiple_of(3));
+    let lp = random_lp(&boxed, rows, anchored, redundant);
+    let mut p = MilpProblem::new();
+    let ids: Vec<_> = vars
+        .iter()
+        .enumerate()
+        .map(|(i, &(lb, span, c))| {
+            p.add_int_var(
+                f64::from(lb),
+                f64::from(lb + span),
+                f64::from(c),
+                format!("x{i}"),
+            )
+        })
+        .collect();
+    for (terms, cmp, rhs) in random_rows_of(&boxed, rows, anchored, redundant) {
+        let terms: Vec<_> = terms.iter().map(|&(v, a)| (ids[v], a)).collect();
+        p.add_constraint(&terms, cmp, rhs);
+    }
+    // Enumerate the box.
+    let mut best: Option<f64> = None;
+    let mut point: Vec<f64> = vars.iter().map(|&(lb, _, _)| f64::from(lb)).collect();
+    'walk: loop {
+        if lp.is_feasible(&point) {
+            let z = lp.objective_value(&point);
+            best = Some(best.map_or(z, |b: f64| b.min(z)));
+        }
+        for (i, &(lb, span, _)) in vars.iter().enumerate() {
+            if point[i] < f64::from(lb + span) {
+                point[i] += 1.0;
+                continue 'walk;
+            }
+            point[i] = f64::from(lb);
+        }
+        break;
+    }
+    match (p.solve(), best) {
+        (Ok(sol), Some(b)) => {
+            prop_assert!(
+                (sol.objective - b).abs() < 1e-6,
+                "milp {} vs enumeration {b}",
+                sol.objective
+            );
+            prop_assert!(lp.is_feasible(&sol.values));
+            prop_assert!(
+                sol.values.iter().all(|x| x.fract() == 0.0),
+                "{:?}",
+                sol.values
+            );
+        }
+        (Err(SolverError::Infeasible), None) => {}
+        (got, b) => {
+            return Err(TestCaseError::fail(format!(
+                "milp {got:?} vs enumeration {b:?}"
+            )))
+        }
+    }
+    Ok(())
+}
+
+fn random_vars() -> impl Strategy<Value = Vec<RandomVar>> {
+    proptest::collection::vec((-3i32..3, 0i32..6, 0u8..4, -3i32..4), 2..5)
+}
+
+fn random_rows() -> impl Strategy<Value = Vec<RandomRow>> {
+    proptest::collection::vec(
+        (proptest::collection::vec(-3i32..4, 4), 0u8..3, -6i32..9),
+        1..5,
+    )
+}
+
+fn random_steps() -> impl Strategy<Value = Vec<(usize, u8, i32)>> {
+    proptest::collection::vec((0usize..4, 0u8..5, -3i32..6), 1..12)
+}
+
+fn random_int_vars() -> impl Strategy<Value = Vec<(i32, i32, i32)>> {
+    proptest::collection::vec((-2i32..2, 0i32..4, -3i32..4), 2..5)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Warm re-solves agree with cold solves under random bound walks.
+    #[test]
+    fn prop_warm_resolve_matches_cold(vars in random_vars(), rows in random_rows(),
+                                      shape in 0u8..12, steps in random_steps()) {
+        check_warm_against_cold(&vars, &rows, shape, &steps)?;
+    }
+
+    /// Warm-started branch & bound agrees with enumerating the box.
+    #[test]
+    fn prop_milp_matches_enumeration(vars in random_int_vars(), rows in random_rows(),
+                                     shape in 0u8..12) {
+        check_milp_against_enumeration(&vars, &rows, shape)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5000))]
+
+    /// Deep, fixed-seed run of [`prop_warm_resolve_matches_cold`]
+    /// (`cargo test --release -p sfq-solver -- --ignored`).
+    #[test]
+    #[ignore]
+    fn deep_warm_resolve_matches_cold(vars in random_vars(), rows in random_rows(),
+                                      shape in 0u8..12, steps in random_steps()) {
+        check_warm_against_cold(&vars, &rows, shape, &steps)?;
+    }
+
+    /// Deep, fixed-seed run of [`prop_milp_matches_enumeration`].
+    #[test]
+    #[ignore]
+    fn deep_milp_matches_enumeration(vars in random_int_vars(), rows in random_rows(),
+                                     shape in 0u8..12) {
+        check_milp_against_enumeration(&vars, &rows, shape)?;
     }
 }
