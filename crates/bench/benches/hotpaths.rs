@@ -2,7 +2,8 @@
 //! regression gates of the hot-path overhaul (see ISSUE 1 / ROADMAP):
 //!
 //! * `assign_phases/*` — heuristic coordinate descent, T1-detected subjects
-//!   (`assign_phases/c7552_4_t1`: the exact MILP engine instead);
+//!   (`assign_phases/log2_1phi`: the clean subject at one phase;
+//!   `assign_phases/c7552_4_t1`: the exact MILP engine instead);
 //! * `enumerate_cuts/*` — 3-feasible cut enumeration on mapped networks;
 //! * `simulate/log2_1phi` — the equivalence check's multi-word simulation.
 //!
@@ -66,7 +67,8 @@ fn bench_hotpaths(c: &mut Criterion) {
     // nearly balanced. `enumerate_cuts/log2` and `detect_t1/log2` gate cut
     // enumeration and detection, which run on the calling thread at every
     // worker count; `assign_phases/log2_t1` and `insert_dffs/log2` gate the
-    // timing-engine phase/dff stages.
+    // timing-engine phase/dff stages, and `assign_phases/log2_1phi` the
+    // baseline columns' phase path (the clean subject, no T1, n = 1).
     let log2_aig = circuits::log2_shift_add(32);
     let (log2, _) = map_aig(&log2_aig, &lib).cleaned();
     c.bench_function("enumerate_cuts/log2", |b| {
@@ -76,6 +78,9 @@ fn bench_hotpaths(c: &mut Criterion) {
         b.iter(|| detect_t1(&log2, &lib, &cut_config))
     });
     let log2_det = detect_t1(&log2, &lib, &cut_config).network;
+    c.bench_function("assign_phases/log2_1phi", |b| {
+        b.iter(|| assign_phases(&log2, 1, PhaseEngine::Heuristic).expect("feasible"))
+    });
     c.bench_function("assign_phases/log2_t1", |b| {
         b.iter(|| assign_phases(&log2_det, 4, PhaseEngine::Heuristic).expect("feasible"))
     });

@@ -39,46 +39,72 @@ impl ChainDemand {
 /// `σ_u < v` for every plain sink stage `v` and `σ_u < t` for every exact
 /// tap `t` (violations panic in debug builds and produce malformed chains
 /// otherwise — upstream constraints make them impossible).
+///
+/// A thin wrapper over [`plan_chain_sorted_into`], the allocation-free
+/// planner DFF insertion runs.
 pub fn plan_chain(sigma_u: u32, demand: &ChainDemand, n: u32) -> Vec<u32> {
-    debug_assert!(n >= 1);
+    debug_assert!(
+        demand.plain.iter().all(|&v| v > sigma_u),
+        "plain sink at/before driver"
+    );
     let mut taps: Vec<u32> = demand.exact.clone();
     taps.sort_unstable();
     taps.dedup();
+    let mut chain = Vec::new();
+    plan_chain_sorted_into(
+        sigma_u,
+        &taps,
+        demand.plain.iter().copied().max(),
+        n,
+        &mut chain,
+    );
+    chain
+}
+
+/// [`plan_chain`] over pre-sorted, deduplicated exact taps and the maximum
+/// plain-sink stage, *appending* the chain's stages to `out` — the form the
+/// timing engine uses to build every pin's plan into one shared buffer.
+/// Same preconditions as [`chain_cost_sorted`], whose count it
+/// materializes.
+pub fn plan_chain_sorted_into(
+    sigma_u: u32,
+    exact_sorted: &[u32],
+    max_plain: Option<u32>,
+    n: u32,
+    out: &mut Vec<u32>,
+) {
+    debug_assert!(n >= 1);
     debug_assert!(
-        taps.first().is_none_or(|&t| t > sigma_u),
+        exact_sorted.windows(2).all(|w| w[0] < w[1]),
+        "taps must be sorted+deduped"
+    );
+    debug_assert!(
+        exact_sorted.first().is_none_or(|&t| t > sigma_u),
         "exact tap at/before driver"
     );
-
     // Fill hops longer than n between consecutive chain elements.
-    let mut filled: Vec<u32> = Vec::with_capacity(taps.len());
-    let mut prev = sigma_u;
-    for &t in &taps {
-        while t - prev > n {
-            prev += n;
-            filled.push(prev);
-        }
-        filled.push(t);
-        prev = t;
-    }
-    let mut chain = filled;
-
-    // Cover plain sinks in stage order; extend the chain tail as needed.
-    let mut plain = demand.plain.clone();
-    plain.sort_unstable();
-    for &v in &plain {
-        debug_assert!(v > sigma_u, "plain sink at/before driver");
-        if v - sigma_u <= n {
-            continue; // driver itself is in the window
-        }
-        // The chain's gap invariant (≤ n) means a tap lies in [v−n, v−1]
-        // whenever the chain reaches v−n; otherwise extend the tail.
-        let mut last = chain.last().copied().unwrap_or(sigma_u);
-        while last + n < v {
+    let mut last = sigma_u;
+    for &t in exact_sorted {
+        while t - last > n {
             last += n;
-            chain.push(last);
+            out.push(last);
+        }
+        out.push(t);
+        last = t;
+    }
+    // Cover the plain sinks: the tail ladder that reaches the largest one
+    // covers every smaller one too (the gap invariant ≤ n puts a tap in
+    // each sink's window `[v − n, v − 1]`). A sink within the driver's
+    // pulse lifetime taps the driver itself.
+    if let Some(v) = max_plain {
+        debug_assert!(v > sigma_u, "plain sink at/before driver");
+        if v - sigma_u > n {
+            while last + n < v {
+                last += n;
+                out.push(last);
+            }
         }
     }
-    chain
 }
 
 /// Counts the chain DFFs without materializing them.
@@ -273,6 +299,21 @@ mod tests {
                 demand,
                 &plan
             );
+            // The in-place planner appends the same plan after whatever the
+            // shared buffer already holds, leaving that prefix untouched.
+            let mut exact = demand.exact.clone();
+            exact.sort_unstable();
+            exact.dedup();
+            let mut shared = vec![u32::MAX, 0];
+            plan_chain_sorted_into(
+                sigma_u,
+                &exact,
+                demand.plain.iter().copied().max(),
+                n,
+                &mut shared,
+            );
+            prop_assert_eq!(&shared[..2], &[u32::MAX, 0][..]);
+            prop_assert_eq!(&shared[2..], &plan[..]);
             // Gap invariant: strictly increasing, no hop longer than n.
             let mut prev = sigma_u;
             for &t in &plan {

@@ -97,23 +97,24 @@ pub fn insert_dffs_reference(
     // ---- plan chains per pin ----------------------------------------------
     // pin → sorted DFF stages.
     let mut chain_plan: HashMap<Signal, Vec<u32>> = HashMap::new();
-    for (pin, sinks) in &view.pins {
+    for pi in 0..view.num_pins() {
+        let pin = view.signal(pi);
         let su = stages[pin.cell.0 as usize];
         let mut demand = ChainDemand::default();
-        for &v in &sinks.plain {
+        for &v in view.plain(pi) {
             demand.plain.push(stages[v.0 as usize]);
         }
-        for &(t1, k) in &sinks.t1 {
-            let a = arrival[&(t1, k)];
+        for &(t1, k) in view.t1(pi) {
+            let a = arrival[&(t1, usize::from(k))];
             if a > su {
                 demand.exact.push(a);
             }
         }
-        if sinks.outputs > 0 && sigma_out > su {
+        if view.outputs(pi) > 0 && sigma_out > su {
             demand.exact.push(sigma_out);
         }
         if !demand.is_empty() {
-            chain_plan.insert(*pin, plan_chain(su, &demand, nn));
+            chain_plan.insert(pin, plan_chain(su, &demand, nn));
         }
     }
 

@@ -5,7 +5,7 @@
 //! layers that computed the same chain demands twice: the phase-assignment
 //! descent counted chain DFFs through [`chain_cost_sorted`] inside
 //! its pin cost, and DFF insertion then re-derived every demand from the
-//! network and materialized it with [`plan_chain`]. A
+//! network and materialized it with [`plan_chain`](crate::chains::plan_chain). A
 //! [`TimingEngine`] owns that shared state once:
 //!
 //! * the **stage vector** `σ` and the common primary-output stage,
@@ -17,7 +17,8 @@
 //!   [`ArrivalCache`], without per-probe
 //!   `SipHash`/`RefCell` overhead,
 //! * the **per-pin chain demands** implied by stages + arrivals, and the
-//!   memoized [`plan_chain`] results the emission pass consumes.
+//!   memoized chain plans the emission pass consumes, planned in place into
+//!   one shared buffer by [`plan_chain_sorted_into`].
 //!
 //! # Incremental invalidation rule
 //!
@@ -31,6 +32,42 @@
 //! and of untouched ones from the engine state. A `σ_out` change
 //! additionally re-costs the primary-output pins (delta against their cached
 //! incumbent cost). No candidate ever rescans the whole netlist.
+//!
+//! # Dirty cells
+//!
+//! Later passes move few cells, so the descent re-evaluates only *dirty*
+//! cells: those for which something their evaluation reads has changed
+//! since their last evaluation. `DescentIndex` also holds the inverse of
+//! the affected lists, the **reader index**: per pin `p`, the cells whose
+//! affected list holds `p` (built by counting sort). Every cell starts
+//! dirty; a visit clears the flag, and an accepted move of `c` marks
+//!
+//! * `readers(p)` for every `p` in `affected(c)`;
+//! * every primary-output driver when `affected(c)` holds a PO pin;
+//! * `readers(p)` for every PO pin `p` when `σ_out` moved;
+//!
+//! and then clears `c`'s own flag.
+//!
+//! Why skipping a clean cell `d` is exact. Its evaluation is a pure
+//! function of the state it reads: the stages of its fanins and sinks (its
+//! window), the stages and arrivals that cost the pins of `affected(d)` and
+//! re-solve its touched T1 cells, `σ_out`, and, for a PO driver, the
+//! σ-histogram and every PO pin's cost. A move of `c` changes `c`'s stage,
+//! the arrivals of `c`'s touched T1 cells, and perhaps `σ_out` and the
+//! histogram. Every pin that reads `c`'s stage or one of those arrivals
+//! (`c`'s own pins, its fanin pins, its touched T1 cells' fanin pins) is in
+//! `affected(c)`, and `d` sees `c`'s stage only through such a pin that is
+//! also in `affected(d)`, so `d` is one of its readers. The histogram moves
+//! only when `c` drives a PO, and then `c`'s own PO pin is in `affected(c)`;
+//! a changed PO pin re-marks every PO driver; only PO pins read `σ_out`. So
+//! a clean cell's inputs are those of its last evaluation, which found no
+//! move, and it would find none again. The mover itself is clean after its
+//! move: its window does not depend on its own stage, and its deltas are
+//! exact, so from its new stage every candidate's delta is its old delta
+//! minus the accepted one, never negative. Skipping thus
+//! keeps the pass order, the tie-breaks, `improved` and the pass cap; the
+//! budget still ticks once per visited clocked cell, so supervised node
+//! ceilings are unchanged.
 //!
 //! The descent itself — pass order, candidate window, tie-breaking,
 //! acceptance rule — is *semantically identical* to the executable
@@ -49,7 +86,7 @@
 //! calling thread, so the flow's node budget charges every descent tick —
 //! and restart count 1 is bit-identical to the single-descent reference.
 
-use crate::chains::{chain_cost_sorted, plan_chain, ChainDemand};
+use crate::chains::{chain_cost_sorted, plan_chain_sorted_into};
 use crate::dff::emit_planned;
 use crate::phase::{
     arrival_key, asap_stages, auto_takes_exact, build_view, clocked_lower_bound, exact_assign,
@@ -156,13 +193,22 @@ impl ArrivalMemo {
 /// Per-cell CSR lists built once per engine: the affected-pin list (same
 /// contents as the reference descent's `AffectedIndex`) plus the deduplicated
 /// list of *touched* T1 cells — the T1 cells whose arrival solve a move of
-/// this cell perturbs. Both are keyed by the moving cell.
+/// this cell perturbs. Both are keyed by the moving cell. The reader index
+/// inverts the first: per pin, the cells whose affected list holds it —
+/// exactly the cells whose evaluation reads that pin's cost or sinks, which
+/// the descent re-marks when the pin changes.
 struct DescentIndex {
     pin_offsets: Vec<u32>,
     pins: Vec<u32>,
     t1_offsets: Vec<u32>,
     /// T1 ordinals (indices into `view.t1_cells`), not cell ids.
     t1s: Vec<u32>,
+    /// `reader_offsets[p]..reader_offsets[p + 1]` indexes `readers`.
+    reader_offsets: Vec<u32>,
+    /// Cell ids, in id order per pin.
+    readers: Vec<u32>,
+    /// Cells driving at least one primary output, in id order.
+    po_drivers: Vec<u32>,
 }
 
 impl DescentIndex {
@@ -192,7 +238,7 @@ impl DescentIndex {
                     };
                     add_pin(pin, &mut scratch);
                     if let Some(pi) = view.pin_lookup(pin) {
-                        for &(t1, _) in &view.pins[pi].1.t1 {
+                        for &(t1, _) in view.t1(pi) {
                             t1_scratch.push(t1_ordinal[t1.0 as usize]);
                         }
                     }
@@ -219,11 +265,35 @@ impl DescentIndex {
             pin_offsets.push(pins.len() as u32);
             t1_offsets.push(t1s.len() as u32);
         }
+
+        // Reader index by counting sort over the affected lists.
+        let mut reader_offsets = vec![0u32; view.num_pins() + 1];
+        for &pi in &pins {
+            reader_offsets[pi as usize + 1] += 1;
+        }
+        for p in 0..view.num_pins() {
+            reader_offsets[p + 1] += reader_offsets[p];
+        }
+        let mut cursor = reader_offsets[..view.num_pins()].to_vec();
+        let mut readers = vec![0u32; pins.len()];
+        for c in 0..net.num_cells() {
+            for &pi in &pins[pin_offsets[c] as usize..pin_offsets[c + 1] as usize] {
+                readers[cursor[pi as usize] as usize] = c as u32;
+                cursor[pi as usize] += 1;
+            }
+        }
+
+        let mut po_drivers: Vec<u32> = net.outputs().iter().map(|o| o.cell.0).collect();
+        po_drivers.sort_unstable();
+        po_drivers.dedup();
         DescentIndex {
             pin_offsets,
             pins,
             t1_offsets,
             t1s,
+            reader_offsets,
+            readers,
+            po_drivers,
         }
     }
 
@@ -237,6 +307,12 @@ impl DescentIndex {
     fn t1s_of(&self, id: CellId) -> &[u32] {
         let i = id.0 as usize;
         &self.t1s[self.t1_offsets[i] as usize..self.t1_offsets[i + 1] as usize]
+    }
+
+    /// Cells whose affected list holds pin `pi`.
+    #[inline]
+    fn readers_of(&self, pi: usize) -> &[u32] {
+        &self.readers[self.reader_offsets[pi] as usize..self.reader_offsets[pi + 1] as usize]
     }
 }
 
@@ -326,6 +402,38 @@ impl EngineState {
     }
 }
 
+/// The chain demand of pin `pi`: gathers its exact taps (T1 arrivals after
+/// the driver, then `output_stage` when the pin drives a primary output and
+/// fires before it) sorted and deduplicated into `taps`, and returns the
+/// driver stage and the largest plain-sink stage. `arrivals` maps a T1
+/// ordinal to its arrival slots; `None` (an infeasible solve) aborts.
+#[inline]
+fn pin_demand(
+    core: &EngineCore<'_>,
+    stages: &[u32],
+    output_stage: u32,
+    taps: &mut Vec<u32>,
+    pi: usize,
+    arrivals: impl Fn(usize) -> Option<[u32; 3]>,
+) -> Option<(u32, Option<u32>)> {
+    let view = &core.view;
+    let su = stages[view.signal(pi).cell.0 as usize];
+    let max_plain = view.plain(pi).iter().map(|v| stages[v.0 as usize]).max();
+    taps.clear();
+    for &(t1, k) in view.t1(pi) {
+        let a = arrivals(core.t1_ordinal[t1.0 as usize] as usize)?[k as usize];
+        if a > su {
+            taps.push(a);
+        }
+    }
+    if view.outputs(pi) > 0 && output_stage > su {
+        taps.push(output_stage);
+    }
+    taps.sort_unstable();
+    taps.dedup();
+    Some((su, max_plain))
+}
+
 /// Chain DFF count of pin `pi` under the state's stages/arrivals — the same
 /// quantity as `CostModel::pin_cost`, with arrivals read from the engine's
 /// resolved per-T1 array instead of re-solved per sink.
@@ -338,27 +446,10 @@ fn state_pin_cost(
     taps: &mut Vec<u32>,
     pi: usize,
 ) -> usize {
-    let (pin, sinks) = &core.view.pins[pi];
-    let su = stages[pin.cell.0 as usize];
-    let mut max_plain: Option<u32> = None;
-    for &v in &sinks.plain {
-        let s = stages[v.0 as usize];
-        if max_plain.is_none_or(|m| s > m) {
-            max_plain = Some(s);
-        }
-    }
-    taps.clear();
-    for &(t1, k) in &sinks.t1 {
-        let a = t1_arrival[core.t1_ordinal[t1.0 as usize] as usize][k];
-        if a > su {
-            taps.push(a);
-        }
-    }
-    if sinks.outputs > 0 && output_stage > su {
-        taps.push(output_stage);
-    }
-    taps.sort_unstable();
-    taps.dedup();
+    let (su, max_plain) = pin_demand(core, stages, output_stage, taps, pi, |ti| {
+        Some(t1_arrival[ti])
+    })
+    .expect("committed arrivals are feasible");
     chain_cost_sorted(su, taps, max_plain, core.n)
 }
 
@@ -380,42 +471,22 @@ fn probe_pin_cost(
     taps: &mut Vec<u32>,
     pi: usize,
 ) -> Option<usize> {
-    let (pin, sinks) = &core.view.pins[pi];
-    let su = stages[pin.cell.0 as usize];
-    let mut max_plain: Option<u32> = None;
-    for &v in &sinks.plain {
-        let s = stages[v.0 as usize];
-        if max_plain.is_none_or(|m| s > m) {
-            max_plain = Some(s);
-        }
-    }
-    taps.clear();
-    for &(t1, k) in &sinks.t1 {
-        let ti = core.t1_ordinal[t1.0 as usize] as usize;
-        let arr = if cand_stamp[ti] == cand_gen {
-            if !cand_ok[ti] {
-                return None;
-            }
-            cand_arr[ti]
+    let (su, max_plain) = pin_demand(core, stages, output_stage, taps, pi, |ti| {
+        if cand_stamp[ti] != cand_gen {
+            Some(t1_arrival[ti])
+        } else if cand_ok[ti] {
+            Some(cand_arr[ti])
         } else {
-            t1_arrival[ti]
-        };
-        if arr[k] > su {
-            taps.push(arr[k]);
+            None
         }
-    }
-    if sinks.outputs > 0 && output_stage > su {
-        taps.push(output_stage);
-    }
-    taps.sort_unstable();
-    taps.dedup();
+    })?;
     Some(chain_cost_sorted(su, taps, max_plain, core.n))
 }
 
 /// Total chain cost over all pins of a state.
 fn state_total_cost(core: &EngineCore<'_>, state: &mut EngineState) -> usize {
     let mut taps = std::mem::take(&mut state.taps);
-    let total = (0..core.view.pins.len())
+    let total = (0..core.view.num_pins())
         .map(|pi| {
             state_pin_cost(
                 core,
@@ -435,10 +506,27 @@ fn state_total_cost(core: &EngineCore<'_>, state: &mut EngineState) -> usize {
 // The descent (spec: phase::heuristic_assign / assign_phases_reference)
 // ======================================================================
 
+/// Work counters of one descent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct DescentStats {
+    /// Passes over the topological order (the last one moves nothing
+    /// unless the pass cap ends the descent).
+    pub passes: usize,
+    /// Clocked-cell visits that evaluated candidates (the cell was dirty).
+    pub evaluated: usize,
+    /// Accepted moves.
+    pub moved: usize,
+}
+
+/// Pass cap of the descent (the reference descent's too).
+const MAX_PASSES: usize = 10;
+
 /// Coordinate descent to a local minimum, semantically identical to the
 /// reference heuristic: same pass order, candidate windows, tie-breaking
-/// and acceptance — only the cost plumbing is incremental.
-fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
+/// and acceptance — only the cost plumbing is incremental, and a cell
+/// nothing it reads has changed since its last evaluation is skipped (see
+/// the module docs for why that is exact).
+fn descend(core: &EngineCore<'_>, state: &mut EngineState) -> DescentStats {
     let net = core.net;
     let view = &core.view;
     let n = core.n;
@@ -450,7 +538,7 @@ fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
     // Per-pin cached costs under the incumbent; PO pins revalidate lazily
     // against `out_gen` exactly like the reference.
     let mut taps = std::mem::take(&mut state.taps);
-    let mut pin_cost: Vec<usize> = (0..view.pins.len())
+    let mut pin_cost: Vec<usize> = (0..view.num_pins())
         .map(|pi| {
             state_pin_cost(
                 core,
@@ -463,11 +551,14 @@ fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
         })
         .collect();
     let mut out_gen: u32 = 0;
-    let mut pin_gen: Vec<u32> = vec![0; view.pins.len()];
+    let mut pin_gen: Vec<u32> = vec![0; view.num_pins()];
     let mut cands = std::mem::take(&mut state.cands);
+    // Cells whose evaluation may return a move; all start dirty.
+    let mut dirty = vec![true; net.num_cells()];
+    let mut stats = DescentStats::default();
 
-    let max_passes = 10;
-    for _pass in 0..max_passes {
+    for _pass in 0..MAX_PASSES {
+        stats.passes += 1;
         let mut improved = false;
         for &id in &view.order {
             let kind = net.kind(id);
@@ -475,8 +566,13 @@ fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
                 continue;
             }
             // Supervised-flow budget check; a thread-local no-op whenever no
-            // budget is installed.
+            // budget is installed. Clean cells tick too, so node ceilings
+            // count visits, not evaluations.
             sfq_netlist::budget::tick(1);
+            if !std::mem::take(&mut dirty[id.0 as usize]) {
+                continue;
+            }
+            stats.evaluated += 1;
             let current = state.stages[id.0 as usize];
             let lo = clocked_lower_bound(net, &state.stages, id);
             let mut hi = u32::MAX;
@@ -486,11 +582,10 @@ fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
                     port: port as u8,
                 };
                 if let Some(pi) = view.pin_lookup(pin) {
-                    let sinks = &view.pins[pi].1;
-                    for &v in &sinks.plain {
+                    for &v in view.plain(pi) {
                         hi = hi.min(state.stages[v.0 as usize] - 1);
                     }
-                    for &(t1, _) in &sinks.t1 {
+                    for &(t1, _) in view.t1(pi) {
                         hi = hi.min(state.stages[t1.0 as usize] - 1);
                     }
                 }
@@ -525,7 +620,7 @@ fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
             let mut base_affected = 0usize;
             for &pi in affected {
                 let pi = pi as usize;
-                if view.pins[pi].1.outputs > 0 && pin_gen[pi] != out_gen {
+                if view.outputs(pi) > 0 && pin_gen[pi] != out_gen {
                     pin_cost[pi] = state_pin_cost(
                         core,
                         &state.stages,
@@ -681,11 +776,14 @@ fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
                 if drives_output {
                     tracker.move_cell(id, current, cand, new_out);
                 }
-                if new_out != output_stage {
+                let out_moved = new_out != output_stage;
+                if out_moved {
                     output_stage = new_out;
                     out_gen = out_gen.wrapping_add(1);
                 }
                 improved = true;
+                stats.moved += 1;
+                let mut po_pin_moved = false;
                 for &pi in affected {
                     let pi = pi as usize;
                     pin_cost[pi] = state_pin_cost(
@@ -697,7 +795,27 @@ fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
                         pi,
                     );
                     pin_gen[pi] = out_gen;
+                    po_pin_moved |= view.outputs(pi) > 0;
+                    for &r in index.readers_of(pi) {
+                        dirty[r as usize] = true;
+                    }
                 }
+                if out_moved {
+                    for &pi in &core.po_pins {
+                        for &r in index.readers_of(pi as usize) {
+                            dirty[r as usize] = true;
+                        }
+                    }
+                }
+                if po_pin_moved {
+                    // Every PO driver reads every PO pin's cost (the σ_out
+                    // delta) and the σ-histogram (`max_excluding`).
+                    for &d in &index.po_drivers {
+                        dirty[d as usize] = true;
+                    }
+                }
+                // Re-evaluating the mover now would find no move.
+                dirty[id.0 as usize] = false;
             }
         }
         if !improved {
@@ -707,6 +825,7 @@ fn descend(core: &EngineCore<'_>, state: &mut EngineState) {
     state.output_stage = max_output_stage(net, &state.stages);
     state.taps = taps;
     state.cands = cands;
+    stats
 }
 
 // ======================================================================
@@ -754,7 +873,7 @@ fn perturbed_asap(core: &EngineCore<'_>, restart: u64) -> Vec<u32> {
 pub struct TimingEngine<'a> {
     core: EngineCore<'a>,
     state: EngineState,
-    /// Memoized `plan_chain` results for the current state (CSR over pins),
+    /// Memoized chain plans for the current state (CSR over pins),
     /// invalidated whenever the state moves.
     plans: Option<(Vec<u32>, Vec<u32>)>,
 }
@@ -815,13 +934,7 @@ impl<'a> TimingEngine<'a> {
         for (i, &t1) in view.t1_cells.iter().enumerate() {
             t1_ordinal[t1.0 as usize] = i as u32;
         }
-        let po_pins: Vec<u32> = view
-            .pins
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, sinks))| sinks.outputs > 0)
-            .map(|(pi, _)| pi as u32)
-            .collect();
+        let po_pins = view.po_pins();
         Ok(EngineCore {
             net,
             view,
@@ -863,9 +976,14 @@ impl<'a> TimingEngine<'a> {
     /// minimum (bit-identical to the reference heuristic when started from
     /// the ASAP seed).
     pub fn descend(&mut self) {
+        self.descend_counted();
+    }
+
+    /// [`TimingEngine::descend`], returning the descent's work counters.
+    pub(crate) fn descend_counted(&mut self) -> DescentStats {
         self.ensure_index();
-        descend(&self.core, &mut self.state);
         self.plans = None;
+        descend(&self.core, &mut self.state)
     }
 
     /// Multi-restart descent: restart 0 descends from the current state;
@@ -964,37 +1082,30 @@ impl<'a> TimingEngine<'a> {
 
     /// Materializes (and memoizes) the per-pin chain plans of the current
     /// state: for every driven pin, the sorted DFF stages of its shared
-    /// chain — exactly what [`plan_chain`] returns for the pin's
-    /// demand.
+    /// chain — exactly what [`plan_chain`](crate::chains::plan_chain)
+    /// returns for the pin's demand — appended to one shared buffer by
+    /// [`plan_chain_sorted_into`], with no per-pin allocation.
     fn ensure_plans(&mut self) {
         if self.plans.is_some() {
             return;
         }
         let core = &self.core;
         let state = &self.state;
-        let mut offsets: Vec<u32> = Vec::with_capacity(core.view.pins.len() + 1);
+        let mut offsets: Vec<u32> = Vec::with_capacity(core.view.num_pins() + 1);
         let mut chain_stages: Vec<u32> = Vec::new();
-        let mut demand = ChainDemand::default();
+        let mut taps: Vec<u32> = Vec::new();
         offsets.push(0);
-        for (pin, sinks) in &core.view.pins {
-            let su = state.stages[pin.cell.0 as usize];
-            demand.plain.clear();
-            demand.exact.clear();
-            for &v in &sinks.plain {
-                demand.plain.push(state.stages[v.0 as usize]);
-            }
-            for &(t1, k) in &sinks.t1 {
-                let a = state.t1_arrival[core.t1_ordinal[t1.0 as usize] as usize][k];
-                if a > su {
-                    demand.exact.push(a);
-                }
-            }
-            if sinks.outputs > 0 && state.output_stage > su {
-                demand.exact.push(state.output_stage);
-            }
-            if !demand.is_empty() {
-                chain_stages.extend_from_slice(&plan_chain(su, &demand, core.n));
-            }
+        for pi in 0..core.view.num_pins() {
+            let (su, max_plain) = pin_demand(
+                core,
+                &state.stages,
+                state.output_stage,
+                &mut taps,
+                pi,
+                |ti| Some(state.t1_arrival[ti]),
+            )
+            .expect("committed arrivals are feasible");
+            plan_chain_sorted_into(su, &taps, max_plain, core.n, &mut chain_stages);
             offsets.push(chain_stages.len() as u32);
         }
         self.plans = Some((offsets, chain_stages));

@@ -52,7 +52,9 @@
 //!   solution; one cache is shared by the heuristic's cost model, the MILP
 //!   warm-start, and DFF insertion.
 //! * **Incremental bookkeeping.** Pin lookup is a flat
-//!   `cell × port`-indexed table (no hashing); the common output stage is
+//!   `cell × port`-indexed table (no hashing) into the CSR pin view
+//!   `NetView`, whose sink lists are slices of two flat arrays built in
+//!   one count-and-fill pass; the common output stage is
 //!   maintained by a histogram tracker so a candidate's `σ_out` is O(1)
 //!   instead of a primary-output rescan; primary-output pin costs are
 //!   refreshed lazily via a generation stamp when `σ_out` moves (previously
@@ -131,23 +133,31 @@ impl std::error::Error for PhaseError {}
 // Shared structural view
 // ======================================================================
 
-/// Per-pin sink lists of the subject network.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PinSinks {
-    /// Plain (window-tapping) consumer cells.
-    pub plain: Vec<CellId>,
-    /// `(t1 cell, fanin index)` consumers.
-    pub t1: Vec<(CellId, usize)>,
-    /// Number of primary outputs driven by the pin.
-    pub outputs: usize,
-}
-
+/// The pin/sink view of a subject network, in CSR form.
+///
+/// Every *driven* pin (one that a cell or a primary output reads) gets a
+/// dense index in signal order (cell, then port). Its plain sinks, its
+/// `(T1 cell, fanin index)` sinks, its [`Signal`] and its primary-output
+/// count are read through the slice accessors ([`NetView::plain`],
+/// [`NetView::t1`], [`NetView::signal`], [`NetView::outputs`]); the two
+/// sink lists are flat arrays with per-pin offsets, each list in cell-id
+/// order. [`build_view`] fills them with one count pass, one prefix sum
+/// and one fill pass — no per-pin heap allocation.
 #[derive(Debug, Clone)]
 pub(crate) struct NetView {
-    /// Driven pins with their sinks, in deterministic (signal) order.
-    pub pins: Vec<(Signal, PinSinks)>,
-    /// Flat `cell × port → pin index` table (`u32::MAX` = undriven pin);
-    /// replaces the former per-probe `HashMap<Signal, usize>`.
+    /// Driver signal per pin, in deterministic (signal) order.
+    sigs: Vec<Signal>,
+    /// Primary outputs read per pin.
+    outputs: Vec<u32>,
+    /// `plain_off[pi]..plain_off[pi + 1]` indexes `plain`.
+    plain_off: Vec<u32>,
+    /// Plain (window-tapping) consumer cells of every pin.
+    plain: Vec<CellId>,
+    /// `t1_off[pi]..t1_off[pi + 1]` indexes `t1`.
+    t1_off: Vec<u32>,
+    /// `(t1 cell, fanin index)` consumers of every pin.
+    t1: Vec<(CellId, u8)>,
+    /// Flat `cell × port → pin index` table (`u32::MAX` = undriven pin).
     pin_of: Vec<u32>,
     /// All T1 cells.
     pub t1_cells: Vec<CellId>,
@@ -169,50 +179,118 @@ impl NetView {
             i => Some(i as usize),
         }
     }
+
+    /// Number of driven pins.
+    #[inline]
+    pub fn num_pins(&self) -> usize {
+        self.sigs.len()
+    }
+
+    /// The driver signal of pin `pi`.
+    #[inline]
+    pub fn signal(&self, pi: usize) -> Signal {
+        self.sigs[pi]
+    }
+
+    /// Plain consumer cells of pin `pi`.
+    #[inline]
+    pub fn plain(&self, pi: usize) -> &[CellId] {
+        &self.plain[self.plain_off[pi] as usize..self.plain_off[pi + 1] as usize]
+    }
+
+    /// `(t1 cell, fanin index)` consumers of pin `pi`.
+    #[inline]
+    pub fn t1(&self, pi: usize) -> &[(CellId, u8)] {
+        &self.t1[self.t1_off[pi] as usize..self.t1_off[pi + 1] as usize]
+    }
+
+    /// Number of primary outputs pin `pi` drives.
+    #[inline]
+    pub fn outputs(&self, pi: usize) -> u32 {
+        self.outputs[pi]
+    }
+
+    /// Indices of the pins that drive at least one primary output.
+    pub fn po_pins(&self) -> Vec<u32> {
+        (0..self.num_pins() as u32)
+            .filter(|&pi| self.outputs[pi as usize] > 0)
+            .collect()
+    }
 }
 
 pub(crate) fn build_view(net: &Network) -> Result<NetView, PhaseError> {
     let order = net
         .topological_order()
         .map_err(|e| PhaseError::BadNetwork(e.to_string()))?;
-    // Accumulate sinks directly into the flat pin table; iterating it in
-    // index order afterwards yields pins sorted by `Signal` (cell, then
-    // port), matching the former sorted-map construction exactly.
-    let mut flat: Vec<PinSinks> = vec![PinSinks::default(); net.num_cells() * T1_NUM_PORTS];
+    // Count pass: sinks per flat `cell × port` pin.
+    let nflat = net.num_cells() * T1_NUM_PORTS;
+    let mut n_plain = vec![0u32; nflat];
+    let mut n_t1 = vec![0u32; nflat];
+    let mut n_out = vec![0u32; nflat];
     let mut t1_cells = Vec::new();
     for id in net.cell_ids() {
-        let kind = net.kind(id);
-        let is_t1 = matches!(kind, CellKind::T1 { .. });
-        if is_t1 {
+        let counts = if matches!(net.kind(id), CellKind::T1 { .. }) {
             t1_cells.push(id);
-        }
-        for (k, &f) in net.fanins(id).iter().enumerate() {
-            let e = &mut flat[flat_pin(f)];
-            if is_t1 {
-                e.t1.push((id, k));
-            } else {
-                e.plain.push(id);
-            }
+            &mut n_t1
+        } else {
+            &mut n_plain
+        };
+        for &f in net.fanins(id) {
+            counts[flat_pin(f)] += 1;
         }
     }
     for &o in net.outputs() {
-        flat[flat_pin(o)].outputs += 1;
+        n_out[flat_pin(o)] += 1;
     }
-    let mut pins: Vec<(Signal, PinSinks)> = Vec::new();
-    let mut pin_of = vec![u32::MAX; flat.len()];
-    for (idx, sinks) in flat.iter_mut().enumerate() {
-        if sinks.plain.is_empty() && sinks.t1.is_empty() && sinks.outputs == 0 {
+    // Prefix sum over the read pins in flat (= signal) order; the count
+    // tables become each pin's fill cursor.
+    let mut sigs = Vec::new();
+    let mut outputs = Vec::new();
+    let mut plain_off = vec![0u32];
+    let mut t1_off = vec![0u32];
+    let mut pin_of = vec![u32::MAX; nflat];
+    let (mut plain_len, mut t1_len) = (0u32, 0u32);
+    for idx in 0..nflat {
+        if n_plain[idx] == 0 && n_t1[idx] == 0 && n_out[idx] == 0 {
             continue;
         }
-        let sig = Signal {
+        pin_of[idx] = sigs.len() as u32;
+        sigs.push(Signal {
             cell: CellId((idx / T1_NUM_PORTS) as u32),
             port: (idx % T1_NUM_PORTS) as u8,
-        };
-        pin_of[idx] = pins.len() as u32;
-        pins.push((sig, std::mem::take(sinks)));
+        });
+        outputs.push(n_out[idx]);
+        let (np, nt) = (n_plain[idx], n_t1[idx]);
+        n_plain[idx] = plain_len;
+        n_t1[idx] = t1_len;
+        plain_len += np;
+        t1_len += nt;
+        plain_off.push(plain_len);
+        t1_off.push(t1_len);
+    }
+    // Fill pass, in cell-id order like the counts.
+    let mut plain = vec![CellId(0); plain_len as usize];
+    let mut t1 = vec![(CellId(0), 0u8); t1_len as usize];
+    for id in net.cell_ids() {
+        let is_t1 = matches!(net.kind(id), CellKind::T1 { .. });
+        for (k, &f) in net.fanins(id).iter().enumerate() {
+            let fp = flat_pin(f);
+            if is_t1 {
+                t1[n_t1[fp] as usize] = (id, k as u8);
+                n_t1[fp] += 1;
+            } else {
+                plain[n_plain[fp] as usize] = id;
+                n_plain[fp] += 1;
+            }
+        }
     }
     Ok(NetView {
-        pins,
+        sigs,
+        outputs,
+        plain_off,
+        plain,
+        t1_off,
+        t1,
         pin_of,
         t1_cells,
         order,
@@ -495,11 +573,7 @@ pub fn arrival_cost(fanin_stages: [u32; 3], arrivals: [u32; 3], n: u32) -> usize
 
 pub(crate) struct CostModel<'a> {
     pub net: &'a Network,
-    /// Pin→sinks index; outside the heuristic it feeds the [`total_cost`]
-    /// oracle the test suite checks DFF insertion against.
-    ///
-    /// [`total_cost`]: CostModel::total_cost
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Pin→sinks index the pin costs read.
     pub view: &'a NetView,
     pub n: u32,
     /// Shared arrival memo (heuristic, MILP warm-start, DFF insertion).
@@ -530,34 +604,23 @@ impl<'a> CostModel<'a> {
         self.cache.solve(fs, stages[t1.0 as usize], self.n)
     }
 
-    /// Chain DFF count of one pin; `None` on arrival infeasibility.
+    /// Chain DFF count of pin `pi`; `None` on arrival infeasibility.
     ///
     /// Counting-only: exact taps are gathered into a reusable scratch
     /// buffer and costed arithmetically; no chain plan is materialized.
-    pub fn pin_cost(
-        &self,
-        pin: Signal,
-        sinks: &PinSinks,
-        stages: &[u32],
-        output_stage: u32,
-    ) -> Option<usize> {
-        let su = stages[pin.cell.0 as usize];
-        let mut max_plain: Option<u32> = None;
-        for &v in &sinks.plain {
-            let s = stages[v.0 as usize];
-            if max_plain.is_none_or(|m| s > m) {
-                max_plain = Some(s);
-            }
-        }
+    pub fn pin_cost(&self, pi: usize, stages: &[u32], output_stage: u32) -> Option<usize> {
+        let view = self.view;
+        let su = stages[view.signal(pi).cell.0 as usize];
+        let max_plain = view.plain(pi).iter().map(|v| stages[v.0 as usize]).max();
         let mut taps = self.taps.borrow_mut();
         taps.clear();
-        for &(t1, k) in &sinks.t1 {
-            let arr = self.arrivals(t1, stages)?;
-            if arr[k] > su {
-                taps.push(arr[k]);
+        for &(t1, k) in view.t1(pi) {
+            let a = self.arrivals(t1, stages)?[k as usize];
+            if a > su {
+                taps.push(a);
             }
         }
-        if sinks.outputs > 0 && output_stage > su {
+        if view.outputs(pi) > 0 && output_stage > su {
             taps.push(output_stage);
         }
         taps.sort_unstable();
@@ -573,8 +636,8 @@ impl<'a> CostModel<'a> {
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn total_cost(&self, stages: &[u32], output_stage: u32) -> Option<usize> {
         let mut total = 0usize;
-        for (pin, sinks) in &self.view.pins {
-            total += self.pin_cost(*pin, sinks, stages, output_stage)?;
+        for pi in 0..self.view.num_pins() {
+            total += self.pin_cost(pi, stages, output_stage)?;
         }
         Some(total)
     }
@@ -845,9 +908,10 @@ pub(crate) fn exact_assign(
     }
 
     // Edge causality + chain variables per driven pin.
-    for (pin, sinks) in &view.pins {
+    for pi in 0..view.num_pins() {
+        let pin = view.signal(pi);
         let k_var = p.add_int_var(0.0, h, 1.0, format!("k{}_{}", pin.cell.0, pin.port));
-        ws.push((k_var, seed_chain_k(&seed, &seed_model, *pin, sinks, n)));
+        ws.push((k_var, seed_chain_k(&seed, &seed_model, pi, n)));
         let driver = stage_term(pin.cell);
         // helper closures to build terms with/without the driver var
         let add_edge = |p: &mut MilpProblem, consumer: sfq_solver::VarId| {
@@ -858,7 +922,7 @@ pub(crate) fn exact_assign(
             }
             p.add_constraint(&terms, Cmp::Ge, 1.0);
         };
-        for &v in &sinks.plain {
+        for &v in view.plain(pi) {
             let sv = sigma[&v];
             add_edge(&mut p, sv);
             // n·k ≥ σv − σu − n
@@ -868,8 +932,8 @@ pub(crate) fn exact_assign(
             }
             p.add_constraint(&terms, Cmp::Ge, -(n as f64));
         }
-        for &(t1, k) in &sinks.t1 {
-            let a = arrivals[&(t1, k)];
+        for &(t1, k) in view.t1(pi) {
+            let a = arrivals[&(t1, usize::from(k))];
             // n·k_pin ≥ a − σu  (exact tap needs ⌈(a−σu)/n⌉ DFFs)
             let mut terms = vec![(k_var, n as f64), (a, -1.0)];
             if let Some((du, _)) = driver {
@@ -877,7 +941,7 @@ pub(crate) fn exact_assign(
             }
             p.add_constraint(&terms, Cmp::Ge, 0.0);
         }
-        if sinks.outputs > 0 {
+        if view.outputs(pi) > 0 {
             // σ_out ≥ σu; n·k ≥ σ_out − σu
             let mut ge = vec![(sigma_out, 1.0)];
             if let Some((du, _)) = driver {
@@ -924,14 +988,9 @@ fn reverse_distances(net: &Network) -> Vec<u32> {
 
 /// Minimal chain-variable value consistent with the MILP's `k` constraints
 /// under the seed assignment (the linearized chain count the objective sums).
-fn seed_chain_k(
-    seed: &StageAssignment,
-    model: &CostModel<'_>,
-    pin: Signal,
-    sinks: &PinSinks,
-    n: u32,
-) -> f64 {
-    let su = i64::from(seed.stages[pin.cell.0 as usize]);
+fn seed_chain_k(seed: &StageAssignment, model: &CostModel<'_>, pi: usize, n: u32) -> f64 {
+    let view = model.view;
+    let su = i64::from(seed.stages[view.signal(pi).cell.0 as usize]);
     let n = i64::from(n);
     let ceil_div = |x: i64, d: i64| -> i64 {
         if x <= 0 {
@@ -941,16 +1000,16 @@ fn seed_chain_k(
         }
     };
     let mut k = 0i64;
-    for &v in &sinks.plain {
+    for &v in view.plain(pi) {
         k = k.max(ceil_div(i64::from(seed.stages[v.0 as usize]) - su - n, n));
     }
-    for &(t1, idx) in &sinks.t1 {
+    for &(t1, idx) in view.t1(pi) {
         let arr = model
             .arrivals(t1, &seed.stages)
             .expect("heuristic assignment is arrival-feasible");
-        k = k.max(ceil_div(i64::from(arr[idx]) - su, n));
+        k = k.max(ceil_div(i64::from(arr[usize::from(idx)]) - su, n));
     }
-    if sinks.outputs > 0 {
+    if view.outputs(pi) > 0 {
         k = k.max(ceil_div(i64::from(seed.output_stage) - su, n));
     }
     k as f64
@@ -1059,7 +1118,7 @@ impl AffectedIndex {
                     };
                     add_pin(pin, &mut scratch);
                     if let Some(pi) = view.pin_lookup(pin) {
-                        for &(t1, _) in &view.pins[pi].1.t1 {
+                        for &(t1, _) in view.t1(pi) {
                             t1_consumers.push(t1);
                         }
                     }
@@ -1103,28 +1162,20 @@ fn heuristic_assign(
     debug_assert_eq!(output_stage, max_output_stage(net, &stages));
 
     let affected_index = AffectedIndex::build(net, view);
-    let po_pins: Vec<u32> = view
-        .pins
-        .iter()
-        .enumerate()
-        .filter(|(_, (_, sinks))| sinks.outputs > 0)
-        .map(|(pi, _)| pi as u32)
-        .collect();
+    let po_pins = view.po_pins();
 
     // Per-pin cached costs. PO-pin entries additionally depend on σ_out and
     // are revalidated lazily against `out_gen` (bumped when σ_out moves), so
     // an accepted move never rescans the whole primary-output frontier.
-    let mut pin_cost: Vec<usize> = view
-        .pins
-        .iter()
-        .map(|(pin, sinks)| {
+    let mut pin_cost: Vec<usize> = (0..view.num_pins())
+        .map(|pi| {
             model
-                .pin_cost(*pin, sinks, &stages, output_stage)
+                .pin_cost(pi, &stages, output_stage)
                 .expect("ASAP stages are feasible")
         })
         .collect();
     let mut out_gen: u32 = 0;
-    let mut pin_gen: Vec<u32> = vec![0; view.pins.len()];
+    let mut pin_gen: Vec<u32> = vec![0; view.num_pins()];
 
     /// Reads a pin's cached cost, recomputing PO pins stamped before the
     /// last σ_out change.
@@ -1143,10 +1194,9 @@ fn heuristic_assign(
         pin_cost: &mut [usize],
         pin_gen: &mut [u32],
     ) -> usize {
-        let (pin, sinks) = &view.pins[pi];
-        if sinks.outputs > 0 && pin_gen[pi] != out_gen {
+        if view.outputs(pi) > 0 && pin_gen[pi] != out_gen {
             pin_cost[pi] = model
-                .pin_cost(*pin, sinks, stages, output_stage)
+                .pin_cost(pi, stages, output_stage)
                 .expect("incumbent assignment is feasible");
             pin_gen[pi] = out_gen;
         }
@@ -1172,11 +1222,10 @@ fn heuristic_assign(
                     port: port as u8,
                 };
                 if let Some(pi) = view.pin_lookup(pin) {
-                    let sinks = &view.pins[pi].1;
-                    for &v in &sinks.plain {
+                    for &v in view.plain(pi) {
                         hi = hi.min(stages[v.0 as usize] - 1);
                     }
-                    for &(t1, _) in &sinks.t1 {
+                    for &(t1, _) in view.t1(pi) {
                         hi = hi.min(stages[t1.0 as usize] - 1);
                     }
                 }
@@ -1256,8 +1305,7 @@ fn heuristic_assign(
                 let mut ok = true;
                 let mut new_affected = 0usize;
                 for &pi in affected {
-                    let (pin, sinks) = &view.pins[pi as usize];
-                    match model.pin_cost(*pin, sinks, &stages, new_out) {
+                    match model.pin_cost(pi as usize, &stages, new_out) {
                         Some(c) => new_affected += c,
                         None => {
                             ok = false;
@@ -1273,8 +1321,7 @@ fn heuristic_assign(
                         if affected.binary_search(&pi).is_ok() {
                             continue;
                         }
-                        let (pin, sinks) = &view.pins[pi as usize];
-                        match model.pin_cost(*pin, sinks, &stages, new_out) {
+                        match model.pin_cost(pi as usize, &stages, new_out) {
                             // `pin_cost[pi]` is fresh: every PO pin was
                             // revalidated above, before `stages` was probed.
                             Some(c) => extra_delta += c as i64 - pin_cost[pi as usize] as i64,
@@ -1310,9 +1357,8 @@ fn heuristic_assign(
                 // Refresh the affected caches; PO pins outside the list
                 // refresh lazily through their generation stamp.
                 for &pi in affected {
-                    let (pin, sinks) = &view.pins[pi as usize];
                     pin_cost[pi as usize] = model
-                        .pin_cost(*pin, sinks, &stages, output_stage)
+                        .pin_cost(pi as usize, &stages, output_stage)
                         .expect("accepted move is feasible");
                     pin_gen[pi as usize] = out_gen;
                 }

@@ -787,6 +787,130 @@ proptest! {
     }
 }
 
+// ------------------------------------------------ dirty-set descent ----
+
+/// A random subject for the descent tests: full adders (which detection
+/// turns into T1 cells) mixed with plain gates over five inputs, with at
+/// least three primary outputs read at different depths, so several cells
+/// drive outputs and `σ_out` moves during the descent.
+fn random_descent_aig(ops: &[(u8, usize, usize, usize)], taps: &[usize]) -> Aig {
+    let mut aig = Aig::new("descent");
+    let mut pool: Vec<sfq_netlist::AigLit> = (0..5).map(|i| aig.input(format!("x{i}"))).collect();
+    // One full adder on the inputs guarantees a T1 candidate.
+    let (s0, c0) = aig.full_adder(pool[0], pool[1], pool[2]);
+    pool.extend([s0, c0]);
+    for &(op, ia, ib, ic) in ops {
+        let x = pool[ia % pool.len()];
+        let y = pool[ib % pool.len()];
+        let z = pool[ic % pool.len()];
+        match op {
+            0 => pool.push(aig.and(x, y)),
+            1 => pool.push(aig.or(x, y)),
+            2 => pool.push(aig.xor(x, y)),
+            _ => {
+                let (s, c) = aig.full_adder(x, y, z);
+                pool.extend([s, c]);
+            }
+        }
+    }
+    // The three deepest literals plus interior taps.
+    let mut outs: Vec<sfq_netlist::AigLit> = pool.iter().rev().take(3).copied().collect();
+    outs.extend(taps.iter().map(|&t| pool[5 + t % (pool.len() - 5)]));
+    for (i, lit) in outs.into_iter().enumerate() {
+        if !lit.is_constant() {
+            aig.output(format!("f{i}"), lit);
+        }
+    }
+    aig
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The dirty-set descent skips a cell only when nothing its evaluation
+    /// reads has changed. On random multi-output subjects with T1 cells it
+    /// must follow the reference's full-scan descent move for move: the
+    /// single descent equals `assign_phases_reference` at n ∈ {1, 4, 5}.
+    /// With 3 restarts, restart 0 is that descent and wins ties, so the
+    /// result is the reference's or strictly cheaper; and whichever descent
+    /// won, its end state is a full-scan fixpoint — re-descending it with
+    /// every cell dirty moves nothing.
+    #[test]
+    fn prop_dirty_descent_matches_reference(
+        ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, 0usize..64), 4..30),
+        taps in proptest::collection::vec(0usize..64, 0..4),
+    ) {
+        use crate::engine::TimingEngine;
+        use crate::phase::{assign_phases_reference, assign_phases_with_restarts, build_view, ArrivalCache, CostModel};
+        let lib = Library::default();
+        let aig = random_descent_aig(&ops, &taps);
+        let (mapped, _) = sfq_netlist::map_aig(&aig, &lib).cleaned();
+        let subject = detect_t1(&mapped, &lib, &CutConfig::default()).network;
+        let t1s = subject.cell_ids().filter(|&c| matches!(subject.kind(c), CellKind::T1 { .. })).count();
+        let mut drivers: Vec<_> = subject.outputs().iter().map(|o| o.cell).collect();
+        drivers.sort_unstable();
+        drivers.dedup();
+        prop_assume!(t1s > 0 && subject.num_outputs() >= 3 && drivers.len() >= 2);
+
+        // T1 cells need four phases: both descents refuse n = 1 alike.
+        prop_assert_eq!(
+            assign_phases_with_restarts(&subject, 1, PhaseEngine::Heuristic, 1),
+            assign_phases_reference(&subject, 1, PhaseEngine::Heuristic)
+        );
+        for (net, n) in [(&subject, 4u8), (&subject, 5), (&mapped, 1), (&mapped, 4), (&mapped, 5)] {
+            let reference = assign_phases_reference(net, n, PhaseEngine::Heuristic).unwrap();
+            let single = assign_phases_with_restarts(net, n, PhaseEngine::Heuristic, 1).unwrap();
+            prop_assert_eq!(&single, &reference, "single descent vs reference at n={}", n);
+
+            let multi = assign_phases_with_restarts(net, n, PhaseEngine::Heuristic, 3).unwrap();
+            let view = build_view(net).unwrap();
+            let cache = ArrivalCache::new();
+            let model = CostModel::new(net, &view, u32::from(n), &cache);
+            let cost = |a: &crate::StageAssignment| model.total_cost(&a.stages, a.output_stage).unwrap();
+            prop_assert!(
+                multi == reference || cost(&multi) < cost(&reference),
+                "3 restarts at n={} neither kept restart 0 nor improved on it", n
+            );
+            let mut eng = TimingEngine::with_assignment(net, n, &multi).unwrap();
+            let stats = eng.descend_counted();
+            prop_assert_eq!(stats.moved, 0, "winner at n={} is not a full-scan fixpoint", n);
+            prop_assert_eq!(eng.assignment(), multi);
+        }
+    }
+}
+
+/// The dirty set is what makes later passes cheap: on an 8-bit ripple
+/// adder's T1 subject the descent takes several passes, yet evaluates
+/// fewer cells than a full scan of every pass would, and still returns the
+/// reference's assignment.
+#[test]
+fn dirty_descent_evaluates_less_than_a_full_scan() {
+    use crate::engine::TimingEngine;
+    use crate::phase::assign_phases_reference;
+    let lib = Library::default();
+    let (mapped, _) = sfq_netlist::map_aig(&ripple_adder_aig(8), &lib).cleaned();
+    let subject = detect_t1(&mapped, &lib, &CutConfig::default()).network;
+    let clocked = subject
+        .cell_ids()
+        .filter(|&c| subject.kind(c).is_clocked())
+        .count();
+    let mut eng = TimingEngine::new(&subject, 4).unwrap();
+    let stats = eng.descend_counted();
+    assert!(
+        stats.passes >= 2,
+        "the descent converges in one pass: {stats:?}"
+    );
+    assert!(stats.moved > 0, "{stats:?}");
+    assert!(
+        stats.evaluated < stats.passes * clocked,
+        "{stats:?} over {clocked} clocked cells"
+    );
+    assert_eq!(
+        eng.assignment(),
+        assign_phases_reference(&subject, 4, PhaseEngine::Heuristic).unwrap()
+    );
+}
+
 // -------------------------------------------------- MILP fingerprints ----
 
 /// The branch-and-bound path of every corpus flow that takes the exact

@@ -19,7 +19,9 @@
 //! * **identical timing** — bit-identical `StageAssignment`s from the
 //!   timing-engine descent vs. the reference descent, and bit-identical
 //!   `TimedNetwork`s (stages, phases, epochs, DFF counts, JJ area) from the
-//!   planned emission vs. the reference insertion, plus a clean audit;
+//!   planned emission vs. the reference insertion, plus a clean audit, on
+//!   each Table I column's path: the T1-detected subject at n = 4 and the
+//!   clean subject at n = 1 and n = 4;
 //! * **identical truth tables** — functional equivalence of every stage
 //!   against the source AIG: exhaustive simulation for ≤ 10-input designs,
 //!   sampled 64-bit vectors above.
@@ -196,9 +198,21 @@ fn check_design(name: &str, aig: &Aig) {
     assert_identical(name, "detect", &det_new.network, &det_old.network);
     assert_equivalent(name, "detect", aig, &det_new.network);
 
-    // ---- phase (timing engine vs reference descent) ----
-    let subject = &det_new.network;
-    let n = 4u8;
+    // ---- phase + dff ----
+    // The T1 column's path (detected subject, n = 4) and both baseline
+    // columns' paths (clean subject, n = 1 and n = 4).
+    check_timing(name, "t1", aig, &det_new.network, 4);
+    check_timing(name, "1phi", aig, &clean_new, 1);
+    check_timing(name, "4phi", aig, &clean_new, 4);
+}
+
+/// Timing engine vs reference descent (bit-identical `StageAssignment`),
+/// then planned emission vs reference insertion (bit-identical
+/// `TimedNetwork`), a clean audit and functional equivalence, for one
+/// subject at `n` phases.
+fn check_timing(name: &str, column: &str, aig: &Aig, subject: &Network, n: u8) {
+    let name = format!("{name}[{column}]");
+    let name = name.as_str();
     let asg_eng = assign_phases(subject, n, PhaseEngine::Heuristic).expect("engine feasible");
     let asg_ref =
         assign_phases_reference(subject, n, PhaseEngine::Heuristic).expect("reference feasible");
@@ -207,7 +221,6 @@ fn check_design(name: &str, aig: &Aig) {
         "{name}/phase: engine vs reference StageAssignment"
     );
 
-    // ---- dff (planned emission vs reference insertion) ----
     let timed_eng = insert_dffs(subject, &asg_eng, n).expect("engine insertable");
     let timed_ref = insert_dffs_reference(subject, &asg_eng, n).expect("reference insertable");
     assert_timed_identical(name, &timed_eng, &timed_ref);
