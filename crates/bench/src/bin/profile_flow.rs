@@ -1,6 +1,6 @@
 //! Engine comparison probe: heuristic vs exact phase assignment wall-clock
 //! on a mapped ripple adder (used to calibrate the `PhaseEngine::Auto`
-//! threshold; see DESIGN.md §3.2).
+//! threshold, the size predicate in `TimingEngine::assign`).
 use sfq_core::{assign_phases, PhaseEngine};
 use sfq_netlist::{map_aig, Library};
 use std::time::Instant;

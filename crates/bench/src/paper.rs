@@ -3,7 +3,8 @@
 //! Used by the `table1` binary and the integration tests to report
 //! measured-vs-paper ratios. Absolute values are **not** expected to match
 //! (our benchmark generators and JJ library are documented substitutes —
-//! DESIGN.md §5); the reproduction target is the *shape*: which flow wins
+//! see the `sfq-circuits` crate docs and `sfq_netlist::Library`); the
+//! reproduction target is the *shape*: which flow wins
 //! per metric, and roughly by how much.
 
 /// One row of the paper's Table I.

@@ -18,15 +18,8 @@ fn table_text(max_cuts: usize) -> String {
     let rows: Vec<_> = Benchmark::ALL
         .iter()
         .map(|&b| {
-            run_row_with(
-                b,
-                Scale::Small,
-                CutConfig {
-                    max_leaves: 3,
-                    max_cuts,
-                },
-            )
-            .expect("flows self-verify; failure is a real bug")
+            run_row_with(b, Scale::Small, CutConfig { max_cuts })
+                .expect("flows self-verify; failure is a real bug")
         })
         .collect();
     format_table(&rows)

@@ -3,7 +3,8 @@
 //! The paper evaluates on EPFL and ISCAS-85 arithmetic benchmarks. The
 //! original suites ship as AIGER/Verilog files; this crate regenerates
 //! functionally-verified implementations of the *same arithmetic functions*
-//! from scratch (see DESIGN.md §5 for the substitution argument):
+//! from scratch; `tests/benchmark_functions.rs` checks each one against
+//! software arithmetic:
 //!
 //! | paper benchmark | generator | function |
 //! |---|---|---|

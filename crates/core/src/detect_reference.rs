@@ -48,14 +48,15 @@ pub fn detect_t1_with_threshold_reference(
         }
         let mut seen_leafsets: HashSet<[Signal; 3]> = HashSet::new();
         for cut in cuts.of(id) {
-            if cut.leaves.len() != 3 {
+            if cut.num_leaves() != 3 {
                 continue;
             }
-            let leaves: [Signal; 3] = [cut.leaves[0], cut.leaves[1], cut.leaves[2]];
+            let l: Vec<Signal> = cut.leaves().collect();
+            let leaves: [Signal; 3] = [l[0], l[1], l[2]];
             if !seen_leafsets.insert(leaves) {
                 continue; // same leaf set reached through another cut shape
             }
-            for (mask, m) in db.all_masks(&cut.tt) {
+            for (mask, m) in db.all_masks(&cut.tt()) {
                 // S has no complement pin (see sfq-tt docs).
                 let Some(port) = T1Port::for_match(m.base, m.output_negated) else {
                     continue;

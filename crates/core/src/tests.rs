@@ -163,6 +163,43 @@ fn detect_on_array_multiplier_finds_fa_groups() {
 }
 
 #[test]
+fn detect_stats_count_only_the_work_results_need() {
+    use crate::detect::detect_with_stats;
+    use crate::detect_reference::detect_t1_reference;
+    use sfq_netlist::{enumerate_cuts, T1Port};
+    use sfq_tt::T1MatchDb;
+    use std::collections::HashMap;
+
+    let lib = Library::default();
+    let cfg = CutConfig::default();
+    let (net, _) = sfq_netlist::map_aig(&ripple_adder_aig(16), &lib).cleaned();
+    let (det, stats) = detect_with_stats(&net, &lib, &cfg, 0);
+    // Records per (leaves, mask) key, counted from the stored cut sets.
+    let db = T1MatchDb::new();
+    let cuts = enumerate_cuts(&net, &cfg);
+    let mut per_key: HashMap<(u128, u8), usize> = HashMap::new();
+    for id in net.cell_ids() {
+        for cut in cuts.of(id).iter().filter(|c| c.num_leaves() == 3) {
+            for (mask, m) in db.all_masks(&cut.tt()) {
+                if T1Port::for_match(m.base, m.output_negated).is_some() {
+                    *per_key.entry((cut.key(), mask)).or_default() += 1;
+                }
+            }
+        }
+    }
+    let multi = per_key.values().filter(|&&n| n >= 2).count();
+    assert_eq!(stats.records, per_key.values().sum::<usize>());
+    assert_eq!(stats.keys, per_key.len());
+    // Only keys with two or more records are scored.
+    assert_eq!(stats.evaluated, multi);
+    assert!(stats.evaluated < stats.keys, "{stats:?}");
+    let reference = detect_t1_reference(&net, &lib, &cfg);
+    assert_eq!((stats.found, stats.used), (reference.found, reference.used));
+    assert_eq!((det.found, det.used), (stats.found, stats.used));
+    assert!(stats.used > 0);
+}
+
+#[test]
 fn detect_on_ripple_adder_replaces_every_fa() {
     let aig = ripple_adder_aig(8);
     let net = sfq_netlist::map_aig(&aig, &Library::default());

@@ -4,7 +4,7 @@
 //! Table I. Per-cell JJ numbers are representative values from published RSFQ
 //! cell libraries, calibrated so that the paper's two stated anchors hold:
 //! a T1-based full adder costs 29 JJ and a conventional full adder ≈ 2.5×
-//! more (see DESIGN.md §4).
+//! more.
 
 use sfq_tt::{T1Base, TruthTable};
 use std::fmt;
@@ -251,7 +251,8 @@ impl CellKind {
     }
 }
 
-/// JJ-count area model for the SFQ cell library (DESIGN.md §4).
+/// JJ-count area model for the SFQ cell library (calibration in the module
+/// docs).
 ///
 /// # Example
 ///

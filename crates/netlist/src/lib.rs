@@ -62,7 +62,7 @@ pub use aig::{Aig, AigLit, AigNodeId};
 pub use blif::{parse_blif, write_blif, BlifError};
 pub use budget::BudgetExceeded;
 pub use cell::{CellKind, GateKind, Library, T1Port, T1_NUM_PORTS};
-pub use cuts::{enumerate_cuts, Cut, CutConfig, CutSet};
+pub use cuts::{enumerate_cuts, for_each_node_cuts, Cut, CutConfig, CutSet};
 pub use design::{CacheStats, Design, DesignCache, DesignError, DesignFormat};
 pub use mapper::map_aig;
 pub use mapper_reference::map_aig_reference;

@@ -291,6 +291,13 @@ impl Network {
         }
     }
 
+    /// Creates an empty network with room for `cells` cells.
+    pub fn with_capacity(name: impl Into<String>, cells: usize) -> Self {
+        let mut net = Network::new(name);
+        net.cells.reserve_exact(cells);
+        net
+    }
+
     /// Design name.
     pub fn name(&self) -> &str {
         &self.name
@@ -688,7 +695,7 @@ impl Network {
     ///
     /// # Panics
     /// Panics if the network is cyclic.
-    fn visit_topological(&self, mut visit: impl FnMut(usize)) {
+    pub(crate) fn visit_topological(&self, mut visit: impl FnMut(usize)) {
         if self.is_index_ordered() {
             (0..self.cells.len()).for_each(visit);
         } else {

@@ -582,7 +582,7 @@ fn cuts_find_xor3_and_maj3_in_full_adder() {
     let a = Signal::from_cell(net.inputs()[0]);
     let b = Signal::from_cell(net.inputs()[1]);
     let c = Signal::from_cell(net.inputs()[2]);
-    let mut leaves = vec![a, b, c];
+    let mut leaves = [a, b, c];
     leaves.sort();
 
     let s_cell = net.outputs()[0].cell;
@@ -590,15 +590,17 @@ fn cuts_find_xor3_and_maj3_in_full_adder() {
     let s_cut = cuts
         .of(s_cell)
         .iter()
-        .find(|cut| cut.leaves == leaves)
+        .find(|cut| cut.leaves().eq(leaves.iter().copied()))
         .expect("xor3 cut");
-    assert_eq!(s_cut.tt, TruthTable::xor3());
+    assert_eq!(s_cut.tt(), TruthTable::xor3());
+    assert_eq!(u64::from(s_cut.tt_bits()), TruthTable::xor3().bits());
     let co_cut = cuts
         .of(co_cell)
         .iter()
-        .find(|cut| cut.leaves == leaves)
+        .find(|cut| cut.leaves().eq(leaves.iter().copied()))
         .expect("maj3 cut");
-    assert_eq!(co_cut.tt, TruthTable::maj3());
+    assert_eq!(co_cut.tt(), TruthTable::maj3());
+    assert_eq!(u64::from(co_cut.tt_bits()), TruthTable::maj3().bits());
 }
 
 #[test]
@@ -608,8 +610,8 @@ fn cuts_trivial_always_first() {
     for id in net.cell_ids() {
         let cs = cuts.of(id);
         assert!(!cs.is_empty());
-        assert_eq!(cs[0].leaves, vec![Signal::from_cell(id)]);
-        assert_eq!(cs[0].tt, TruthTable::var(1, 0));
+        assert!(cs[0].leaves().eq([Signal::from_cell(id)]));
+        assert_eq!(cs[0].tt(), TruthTable::var(1, 0));
     }
 }
 
@@ -628,17 +630,21 @@ fn cuts_respect_leaf_budget() {
     let cuts = enumerate_cuts(&net, &CutConfig::default());
     for id in net.cell_ids() {
         for cut in cuts.of(id) {
-            assert!(cut.leaves.len() <= 3);
+            assert!((1..=3).contains(&cut.num_leaves()));
+            assert_eq!(cut.leaves().len(), cut.num_leaves());
         }
     }
     // The 4-leaf cut {a,b,c,d} must be absent from f's set.
     let f_cuts = cuts.of(f.cell);
-    assert!(f_cuts.iter().all(|cut| cut.leaves.len() <= 3));
+    assert!(f_cuts.iter().all(|cut| cut.num_leaves() <= 3));
     // But {ab, cd} is there with an AND function.
-    let mut pair = vec![ab, cd];
+    let mut pair = [ab, cd];
     pair.sort();
-    let found = f_cuts.iter().find(|cut| cut.leaves == pair).unwrap();
-    assert_eq!(found.tt, TruthTable::var(2, 0) & TruthTable::var(2, 1));
+    let found = f_cuts
+        .iter()
+        .find(|cut| cut.leaves().eq(pair.iter().copied()))
+        .unwrap();
+    assert_eq!(found.tt(), TruthTable::var(2, 0) & TruthTable::var(2, 1));
 }
 
 #[test]
@@ -650,8 +656,9 @@ fn cuts_tt_matches_cone_function() {
             continue;
         }
         for cut in cuts.of(id) {
-            let direct = net.cone_function(Signal::from_cell(id), &cut.leaves);
-            assert_eq!(direct, cut.tt, "cut tt mismatch at c{}", id.0);
+            let leaves: Vec<Signal> = cut.leaves().collect();
+            let direct = net.cone_function(Signal::from_cell(id), &leaves);
+            assert_eq!(direct, cut.tt(), "cut tt mismatch at c{}", id.0);
         }
     }
 }
@@ -994,8 +1001,14 @@ proptest! {
         for id in net.cell_ids() {
             if !matches!(net.kind(id), CellKind::Gate(_)) { continue; }
             for cut in cuts.of(id) {
-                let direct = net.cone_function(Signal::from_cell(id), &cut.leaves);
-                prop_assert_eq!(direct, cut.tt);
+                let leaves: Vec<Signal> = cut.leaves().collect();
+                let direct = net.cone_function(Signal::from_cell(id), &leaves);
+                prop_assert_eq!(direct, cut.tt());
+                // The packed key is the leaves' 40-bit pin ids, first highest.
+                let key = leaves.iter().fold(0u128, |k, l| {
+                    (k << 40) | u128::from((u64::from(l.cell.0) << 8) | u64::from(l.port))
+                });
+                prop_assert_eq!(cut.key(), key);
             }
         }
     }
@@ -1023,58 +1036,19 @@ proptest! {
         prop_assume!(!f.is_constant());
         aig.output("f", f);
         let net = map_aig(&aig, &Library::default());
-        let full = enumerate_cuts(&net, &CutConfig { max_leaves: 3, max_cuts: 24 });
+        let full = enumerate_cuts(&net, &CutConfig { max_cuts: 24 });
         for budget in [12usize, 6, 2] {
-            let tight = enumerate_cuts(&net, &CutConfig { max_leaves: 3, max_cuts: budget });
+            let tight = enumerate_cuts(&net, &CutConfig { max_cuts: budget });
             for id in net.cell_ids() {
                 prop_assert!(tight.of(id).len() <= budget + 1, "budget respected at c{}", id.0);
                 for cut in tight.of(id) {
                     prop_assert!(
-                        full.of(id).iter().any(|c| c.leaves == cut.leaves && c.tt == cut.tt),
+                        full.of(id).iter().any(|c| c == cut),
                         "budget-{} cut {:?} of c{} missing from the unpruned set",
-                        budget, cut.leaves, id.0
+                        budget, cut, id.0
                     );
                 }
             }
-        }
-    }
-
-    /// The 256-bit leaf signatures refine the original 64-bit scheme
-    /// (bit `hash & 255` instead of `hash & 63`): OR-folding the four
-    /// lanes of a [`Sig256`] onto 64 bits must reproduce the 64-bit
-    /// reference signature exactly, and every subset decision the wide
-    /// prefilter accepts must also be accepted by the narrow reference —
-    /// the widening only ever *rejects more*, never differently.
-    #[test]
-    fn prop_sig256_refines_the_64_bit_reference(
-        leaves_a in proptest::collection::vec((0u32..400, 0u8..3), 1..8),
-        leaves_b in proptest::collection::vec((0u32..400, 0u8..3), 1..8),
-    ) {
-        use crate::cuts::leaf_hash;
-        use crate::network::CellId;
-        use sfq_tt::Sig256;
-
-        let signal = |(cell, port): (u32, u8)| Signal { cell: CellId(cell), port };
-        let sig256 = |ls: &[(u32, u8)]| {
-            ls.iter().fold(Sig256::EMPTY, |s, &l| s | Sig256::bit(leaf_hash(signal(l))))
-        };
-        let sig64 = |ls: &[(u32, u8)]| {
-            ls.iter().fold(0u64, |s, &l| s | (1u64 << (leaf_hash(signal(l)) & 63)))
-        };
-        let fold = |s: Sig256| s.lanes().iter().fold(0u64, |acc, &lane| acc | lane);
-
-        let (a256, b256) = (sig256(&leaves_a), sig256(&leaves_b));
-        let (a64, b64) = (sig64(&leaves_a), sig64(&leaves_b));
-        prop_assert_eq!(fold(a256), a64, "lane fold must reproduce the 64-bit signature");
-        prop_assert_eq!(fold(b256), b64);
-
-        // Decision pinning: wide-accept ⇒ narrow-accept.
-        if a256.is_subset_of(b256) {
-            prop_assert_eq!(a64 & !b64, 0, "256-bit subset accepted what 64-bit rejects");
-        }
-        // Soundness: a genuine leaf-set inclusion is always accepted.
-        if leaves_a.iter().all(|l| leaves_b.contains(l)) {
-            prop_assert!(sig256(&leaves_a).is_subset_of(b256));
         }
     }
 }

@@ -23,12 +23,10 @@
 // Every public item in this workspace is documented; keep it that way.
 #![deny(missing_docs)]
 
-mod block;
 mod npn;
 mod t1db;
 mod table;
 
-pub use block::Sig256;
 pub use npn::{npn_canonize, NpnTransform};
 pub use t1db::{T1Base, T1Match, T1MatchDb};
 pub use table::{TruthTable, TruthTableError};

@@ -2,9 +2,10 @@
 //! software arithmetic, via bit-parallel AIG simulation (64 test vectors per
 //! simulated word).
 //!
-//! These are the tests that justify the DESIGN.md §5 substitution: the
-//! circuits we synthesize really compute the arithmetic functions the
-//! EPFL/ISCAS benchmarks compute.
+//! These are the tests that justify generating the benchmarks instead of
+//! reading the EPFL/ISCAS files (`sfq-circuits`' crate docs): the circuits
+//! we synthesize really compute the arithmetic functions those suites
+//! compute.
 
 use sfq_t1::circuits::{self, reference};
 use sfq_t1::netlist::Aig;

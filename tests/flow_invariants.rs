@@ -202,7 +202,7 @@ fn gain_threshold_monotonically_prunes_candidates() {
 #[test]
 fn phase_count_sweep_reduces_dffs() {
     // More phases ⇒ longer pulse lifetime in stages ⇒ fewer balancing DFFs
-    // (the multiphase premise, DESIGN.md §2.2).
+    // (the multiphase premise the paper builds on).
     let aig = sfq_t1::circuits::adder(16);
     let mut prev = usize::MAX;
     for n in [1u8, 2, 4, 8] {
