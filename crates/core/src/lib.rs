@@ -72,8 +72,7 @@ pub use supervise::{
 
 pub use phase::{
     arrival_cost, assign_phases, assign_phases_reference, assign_phases_with_restarts,
-    solve_arrivals, solve_arrivals_cp, solve_arrivals_enum, ArrivalCache, PhaseEngine, PhaseError,
-    StageAssignment,
+    solve_arrivals, solve_arrivals_enum, ArrivalCache, PhaseEngine, PhaseError, StageAssignment,
 };
 pub use timed::{TimedNetwork, TimingError};
 

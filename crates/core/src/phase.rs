@@ -43,14 +43,17 @@
 //!   value orders — six candidates instead of hundreds. The result is
 //!   bit-identical to the old enumerator (minimum cost, then
 //!   lexicographically smallest arrival vector; the reference enumerator
-//!   survives as [`solve_arrivals_enum`] and the test suite sweeps the full
-//!   domain against it and the CP model).
+//!   survives as [`solve_arrivals_enum`], and the test suite sweeps the
+//!   full small-parameter domain against it and against the eq. 3–5 slot
+//!   rules).
 //! * **Memoized arrivals.** The reduced problem depends only on
 //!   `(Δ_k mod n, min(Δ_k, n−1))` per fanin — not on absolute stages — so
 //!   the same key recurs thousands of times per run as the descent slides
 //!   whole regions of the netlist. [`ArrivalCache`] memoizes the relative
-//!   solution; one cache is shared by the heuristic's cost model, the MILP
-//!   warm-start, and DFF insertion.
+//!   solution for the reference descent (whose cache its MILP warm start
+//!   shares) and for [`insert_dffs_reference`](crate::insert_dffs_reference);
+//!   on the engine path the descent and DFF emission share the engine's own
+//!   open-addressed memo, and the MILP warm start builds a fresh cache.
 //! * **Incremental bookkeeping.** Pin lookup is a flat
 //!   `cell × port`-indexed table (no hashing) into the CSR pin view
 //!   `NetView`, whose sink lists are slices of two flat arrays built in
@@ -63,12 +66,13 @@
 //!   arithmetically ([`chains::chain_cost_sorted`](crate::chains::chain_cost_sorted))
 //!   into reusable scratch buffers instead of materializing plan vectors.
 //!
-//! Measured effect (criterion medians, one dev machine, 2026-07):
-//! `assign_phases/adder32_t1` 169 µs → 33 µs (5.1×),
+//! Measured effect when these mechanisms landed (criterion medians, one
+//! dev machine, 2026-07): `assign_phases/adder32_t1` 169 µs → 33 µs (5.1×),
 //! `assign_phases/multiplier12_t1` 1.11 ms → 0.31 ms (3.6×); at paper
 //! scale the phase stage of `profile_scale` dropped 3.7–16× per benchmark
-//! (log2: 112 ms → 30 ms) with bit-identical assignments. Current numbers
-//! live in `BENCH_flow.json` at the repo root.
+//! (log2: 112 ms → 30 ms) with bit-identical assignments. `BENCH_flow.json`
+//! keeps those snapshots as history; current numbers come from `perfbench`
+//! (see `BENCHMARK.json`) and the criterion gates.
 
 use crate::chains::chain_cost_sorted;
 use sfq_netlist::{CellId, CellKind, Network, Signal, T1_NUM_PORTS};
@@ -422,8 +426,8 @@ pub fn solve_arrivals(fanin_stages: [u32; 3], sigma_j: u32, n: u32) -> Option<[u
 }
 
 /// The original O(window³) arrival enumerator, kept as the reference
-/// implementation: the test suite sweeps [`solve_arrivals`] against it (and
-/// against [`solve_arrivals_cp`]) over the full small-parameter domain.
+/// implementation: the test suite sweeps [`solve_arrivals`] against it over
+/// the full small-parameter domain.
 pub fn solve_arrivals_enum(fanin_stages: [u32; 3], sigma_j: u32, n: u32) -> Option<[u32; 3]> {
     let win_lo = sigma_j.saturating_sub(n - 1);
     let win_hi = sigma_j.checked_sub(1)?;
@@ -455,10 +459,11 @@ pub fn solve_arrivals_enum(fanin_stages: [u32; 3], sigma_j: u32, n: u32) -> Opti
 
 /// Memo cache for [`solve_arrivals`] keyed by the window-relative reduction
 /// `(Δ_k mod n, min(Δ_k, n−1))₍k₌₀‥₂₎` plus `n` — the full invariant of the
-/// solve, independent of absolute stages. One instance is shared by the
-/// heuristic's cost model, the MILP warm-start and DFF insertion; the same
-/// key recurs thousands of times per flow because coordinate descent slides
-/// whole regions of the netlist without changing stage *differences*.
+/// solve, independent of absolute stages. The reference descent shares one
+/// instance with its MILP warm start, and the reference DFF insertion keeps
+/// its own; the same key recurs thousands of times per flow because
+/// coordinate descent slides whole regions of the netlist without changing
+/// stage *differences*.
 ///
 /// Interior-mutable so read-mostly holders can share `&ArrivalCache`.
 #[derive(Debug, Default)]
@@ -506,51 +511,6 @@ impl ArrivalCache {
     pub fn is_empty(&self) -> bool {
         self.memo.borrow().is_empty()
     }
-}
-
-/// [`solve_arrivals`] through the CP-SAT-lite solver (the paper implements
-/// DFF insertion on CP-SAT; eq. 5 is the `all_different` below).
-///
-/// Exact, like the enumerator, and guaranteed to find the same *cost*;
-/// equal-cost solutions may differ in the arrival vector itself, which is
-/// why the flow canonically uses [`solve_arrivals`] everywhere (the
-/// heuristic's objective and DFF insertion must see identical arrivals) and
-/// uses this model as a cross-check: [`insert_dffs`](crate::insert_dffs)
-/// re-derives every arrival cost through it in debug builds, and the test
-/// suite sweeps the full input space.
-pub fn solve_arrivals_cp(fanin_stages: [u32; 3], sigma_j: u32, n: u32) -> Option<[u32; 3]> {
-    use sfq_solver::{CpModel, CpStatus};
-    let win_lo = i64::from(sigma_j.saturating_sub(n - 1));
-    let win_hi = i64::from(sigma_j.checked_sub(1)?);
-
-    let mut m = CpModel::new();
-    let mut avars = Vec::with_capacity(3);
-    let mut objective = Vec::new();
-    for (k, &s) in fanin_stages.iter().enumerate() {
-        let lo = i64::from(s).max(win_lo);
-        if lo > win_hi {
-            return None; // fanin fires after the window closes
-        }
-        let a = m.new_int_var(lo, win_hi, format!("a{k}"));
-        // k_a = ⌈(a − σ_fanin)/n⌉ via  n·k_a ≥ a − σ_fanin, minimized.
-        let span = (win_hi - i64::from(s)).max(0); // non-negative: lo ≤ win_hi
-        let max_k = (span + i64::from(n) - 1) / i64::from(n);
-        let ka = m.new_int_var(0, max_k, format!("k{k}"));
-        m.add_linear(&[(ka, i64::from(n)), (a, -1)], -i64::from(s), i64::MAX);
-        objective.push((ka, 1));
-        avars.push(a);
-    }
-    m.add_all_different(&avars);
-    m.set_objective(&objective);
-    let sol = m.solve();
-    if !matches!(sol.status, CpStatus::Optimal | CpStatus::FeasibleLimit) {
-        return None;
-    }
-    Some([
-        sol.value(avars[0]) as u32,
-        sol.value(avars[1]) as u32,
-        sol.value(avars[2]) as u32,
-    ])
 }
 
 /// DFF cost of one arrival assignment: `Σ ⌈(aₖ − σ(fanin_k))/n⌉`.
@@ -845,7 +805,7 @@ pub(crate) fn exact_assign(
         if net.kind(id).is_clocked() {
             let lo = f64::from(asap[id.0 as usize].max(1));
             let ub = h - f64::from(rev[id.0 as usize]);
-            let v = p.add_int_var(lo, ub, 0.0, format!("s{}", id.0));
+            let v = p.add_int_var(lo, ub, 0.0);
             p.set_branch_priority(v, 2);
             sigma.insert(id, v);
             ws.push((v, f64::from(seed.stages[id.0 as usize])));
@@ -860,7 +820,7 @@ pub(crate) fn exact_assign(
         .map(|o| asap[o.cell.0 as usize])
         .max()
         .unwrap_or(0);
-    let sigma_out = p.add_int_var(f64::from(out_lb), h, 0.0, "s_out");
+    let sigma_out = p.add_int_var(f64::from(out_lb), h, 0.0);
     p.set_branch_priority(sigma_out, 1);
     ws.push((sigma_out, f64::from(seed.output_stage)));
 
@@ -874,7 +834,7 @@ pub(crate) fn exact_assign(
         let mut avars = Vec::new();
         for k in 0..3 {
             let fanin_lb = f64::from(asap[net.fanins(t1)[k].cell.0 as usize]);
-            let a = p.add_int_var(fanin_lb, h - 1.0, 0.0, format!("a{}_{}", t1.0, k));
+            let a = p.add_int_var(fanin_lb, h - 1.0, 0.0);
             p.set_branch_priority(a, 1);
             ws.push((a, f64::from(seed_arr[k])));
             arrivals.insert((t1, k), a);
@@ -890,7 +850,7 @@ pub(crate) fn exact_assign(
         }
         // pairwise distinct via big-M order booleans
         for (x, y) in [(0usize, 1usize), (0, 2), (1, 2)] {
-            let b = p.add_bool_var(0.0, format!("o{}_{}{}", t1.0, x, y));
+            let b = p.add_bool_var(0.0);
             p.set_branch_priority(b, 3);
             ws.push((b, f64::from(seed_arr[x] > seed_arr[y])));
             // a_x + 1 ≤ a_y + M(1−b)  and  a_y + 1 ≤ a_x + M·b
@@ -910,7 +870,7 @@ pub(crate) fn exact_assign(
     // Edge causality + chain variables per driven pin.
     for pi in 0..view.num_pins() {
         let pin = view.signal(pi);
-        let k_var = p.add_int_var(0.0, h, 1.0, format!("k{}_{}", pin.cell.0, pin.port));
+        let k_var = p.add_int_var(0.0, h, 1.0);
         ws.push((k_var, seed_chain_k(&seed, &seed_model, pi, n)));
         let driver = stage_term(pin.cell);
         // helper closures to build terms with/without the driver var

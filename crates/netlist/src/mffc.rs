@@ -14,8 +14,16 @@ use std::collections::HashMap;
 /// Total fanout-reference count per cell (all ports, plus primary-output
 /// references). This is the reference state [`mffc_nodes`] decrements.
 pub fn reference_counts(net: &Network) -> Vec<u32> {
-    let pin = net.pin_fanout_counts();
-    pin.iter().map(|ports| ports.iter().sum()).collect()
+    let mut refs = vec![0u32; net.num_cells()];
+    for id in net.cell_ids() {
+        for f in net.fanins(id) {
+            refs[f.cell.0 as usize] += 1;
+        }
+    }
+    for o in net.outputs() {
+        refs[o.cell.0 as usize] += 1;
+    }
+    refs
 }
 
 /// Computes the MFFC of `root`: the root plus every *gate* cell that becomes

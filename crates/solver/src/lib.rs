@@ -1,21 +1,18 @@
-//! Exact optimization substrates for SFQ retiming: a mixed-integer linear
-//! programming solver and a small CP-SAT-style constraint solver.
+//! Exact optimization substrate for SFQ retiming: a mixed-integer linear
+//! programming solver.
 //!
 //! The paper implements phase assignment as an ILP and DFF insertion as a
-//! CP-SAT model, both through Google OR-Tools. This crate provides the same
-//! two capabilities from scratch:
+//! CP-SAT model, both through Google OR-Tools. This crate provides the ILP
+//! from scratch: [`MilpProblem`] minimizes a linear objective over
+//! continuous and integer variables with linear constraints. It is solved
+//! by branch & bound over a bounded-variable [`simplex`]: one working
+//! tableau serves the whole search, and each node is re-solved by the dual
+//! simplex from the basis the previous node ended in, with pivots that
+//! touch only the pivot row's nonzeros. DFF insertion needs no solver
+//! here: each T1 cell's arrival problem (eqs. 3–5) has a closed-form exact
+//! solution in `sfq-core` (`solve_arrivals`).
 //!
-//! * [`MilpProblem`] — minimize a linear objective over continuous and
-//!   integer variables with linear constraints. Solved by branch & bound
-//!   over a bounded-variable [`simplex`]: one working tableau serves the
-//!   whole search, and each node is re-solved by the dual simplex from the
-//!   basis the previous node ended in, with pivots that touch only the
-//!   pivot row's nonzeros.
-//! * [`CpModel`] — bounded integer variables, linear constraints,
-//!   `all_different`, and branch-and-bound minimization with bounds
-//!   propagation.
-//!
-//! Both solvers are *exact* on the sizes the flow hands them (the paper's
+//! The solver is *exact* on the sizes the flow hands it (the paper's
 //! formulations per-benchmark are compact; our harness additionally falls
 //! back to a heuristic engine above a size threshold — see `sfq-core`).
 //!
@@ -26,8 +23,8 @@
 //!
 //! // minimize x + 2y  s.t.  x + y ≥ 3, x - y ≤ 1, x,y ∈ [0,10] integer
 //! let mut p = MilpProblem::new();
-//! let x = p.add_int_var(0.0, 10.0, 1.0, "x");
-//! let y = p.add_int_var(0.0, 10.0, 2.0, "y");
+//! let x = p.add_int_var(0.0, 10.0, 1.0);
+//! let y = p.add_int_var(0.0, 10.0, 2.0);
 //! p.add_constraint(&[(x, 1.0), (y, 1.0)], Cmp::Ge, 3.0);
 //! p.add_constraint(&[(x, 1.0), (y, -1.0)], Cmp::Le, 1.0);
 //! let sol = p.solve().unwrap();
@@ -39,11 +36,9 @@
 // Every public item in this workspace is documented; keep it that way.
 #![deny(missing_docs)]
 
-pub mod cp;
 pub mod milp;
 pub mod simplex;
 
-pub use cp::{CpModel, CpSolution, CpStatus, CpVar};
 pub use milp::{MilpProblem, MilpSolution, MilpStatus, VarId};
 pub use simplex::{Cmp, LpProblem, LpSolution, LpStatus, SolverError};
 

@@ -63,7 +63,6 @@ impl MilpSolution {
 pub struct MilpProblem {
     lp: LpProblem,
     integer: Vec<bool>,
-    names: Vec<String>,
     node_limit: usize,
     warm_start: Option<Vec<f64>>,
     branch_priority: Vec<i32>,
@@ -77,7 +76,6 @@ impl MilpProblem {
         MilpProblem {
             lp: LpProblem::new(),
             integer: Vec::new(),
-            names: Vec::new(),
             node_limit: 200_000,
             warm_start: None,
             branch_priority: Vec::new(),
@@ -89,22 +87,14 @@ impl MilpProblem {
         self.node_limit = limit.max(1);
     }
 
-    /// Provides a candidate solution as the initial incumbent.
+    /// Provides a candidate solution, by variable id, as the initial
+    /// incumbent; variables not mentioned default to their lower bound.
     ///
     /// Branch & bound prunes every node whose LP bound cannot beat the
-    /// incumbent, so a good warm start (e.g. from a heuristic) shrinks the
-    /// search enormously. The point is validated at solve time; an
-    /// infeasible or non-integral warm start is silently ignored.
-    pub fn set_warm_start(&mut self, values: Vec<f64>) {
-        self.warm_start = Some(values);
-    }
-
-    /// Provides the initial incumbent by variable id — the order-independent
-    /// handoff API for callers that build their warm start while creating
-    /// variables (e.g. the phase-assignment engine seeding branch & bound
-    /// from a heuristic incumbent). Variables not mentioned default to their
-    /// lower bound; like [`set_warm_start`](Self::set_warm_start), the point
-    /// is validated at solve time and silently ignored if infeasible.
+    /// incumbent, so a good warm start (e.g. the phase-assignment
+    /// heuristic's incumbent) shrinks the search enormously. The point is
+    /// validated at solve time; an infeasible or non-integral warm start is
+    /// silently ignored.
     pub fn set_warm_start_pairs(&mut self, pairs: &[(VarId, f64)]) {
         let mut values: Vec<f64> = (0..self.num_vars()).map(|v| self.lp.bounds(v).0).collect();
         for &(v, x) in pairs {
@@ -114,19 +104,17 @@ impl MilpProblem {
     }
 
     /// Adds a continuous variable with bounds and objective coefficient.
-    pub fn add_var(&mut self, lb: f64, ub: f64, obj: f64, name: impl Into<String>) -> VarId {
+    pub fn add_var(&mut self, lb: f64, ub: f64, obj: f64) -> VarId {
         let v = self.lp.add_var(lb, ub, obj);
         self.integer.push(false);
-        self.names.push(name.into());
         self.branch_priority.push(0);
         VarId(v)
     }
 
     /// Adds an integer variable with bounds and objective coefficient.
-    pub fn add_int_var(&mut self, lb: f64, ub: f64, obj: f64, name: impl Into<String>) -> VarId {
+    pub fn add_int_var(&mut self, lb: f64, ub: f64, obj: f64) -> VarId {
         let v = self.lp.add_var(lb, ub, obj);
         self.integer.push(true);
-        self.names.push(name.into());
         self.branch_priority.push(0);
         VarId(v)
     }
@@ -140,8 +128,8 @@ impl MilpProblem {
     }
 
     /// Adds a binary (0/1) variable.
-    pub fn add_bool_var(&mut self, obj: f64, name: impl Into<String>) -> VarId {
-        self.add_int_var(0.0, 1.0, obj, name)
+    pub fn add_bool_var(&mut self, obj: f64) -> VarId {
+        self.add_int_var(0.0, 1.0, obj)
     }
 
     /// Adds a linear constraint `Σ coef·var  cmp  rhs`.
@@ -153,11 +141,6 @@ impl MilpProblem {
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.integer.len()
-    }
-
-    /// Name of a variable (diagnostics).
-    pub fn name(&self, v: VarId) -> &str {
-        &self.names[v.0]
     }
 
     /// Solves the problem to optimality (or best incumbent at node limit).

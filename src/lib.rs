@@ -18,7 +18,7 @@
 //!
 //! This workspace rebuilds the full stack the paper sits on: truth tables and
 //! Boolean matching ([`tt`]), logic networks / cuts / mapping ([`netlist`]),
-//! MILP + CP-SAT solvers ([`solver`]), the three-stage T1 flow itself
+//! an MILP solver ([`solver`]), the three-stage T1 flow itself
 //! ([`core`]), a pulse-level simulator with energy and jitter-margin
 //! analyses ([`sim`]), the benchmark circuits ([`circuits`]), the experiment
 //! harness (`sfq-bench`), and the `sfqt1` command-line tool (`sfq-cli`) for
