@@ -5,7 +5,8 @@
 //!   (`assign_phases/log2_1phi`: the clean subject at one phase;
 //!   `assign_phases/c7552_4_t1`: the exact MILP engine instead);
 //! * `enumerate_cuts/*` — 3-feasible cut enumeration on mapped networks;
-//! * `simulate/log2_1phi` — the equivalence check's multi-word simulation.
+//! * `simulate/log2_1phi` — the equivalence check's multi-word simulation;
+//! * `check_against_aig/c7552_4_t1` — the served pulse-level sweep.
 //!
 //! The IDs deliberately match `substrates.rs` (`assign_phases/adder32_t1`,
 //! `enumerate_cuts/adder32`) so historical numbers stay comparable, with
@@ -15,6 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use sfq_circuits as circuits;
 use sfq_core::{assign_phases, detect_t1, insert_dffs, run_flow, FlowConfig, PhaseEngine};
 use sfq_netlist::{enumerate_cuts, map_aig, CutConfig, Library};
+use sfq_sim::{check_against_aig, EquivConfig};
 
 fn bench_hotpaths(c: &mut Criterion) {
     let lib = Library::default();
@@ -109,10 +111,24 @@ fn bench_hotpaths(c: &mut Criterion) {
     // enough that `PhaseEngine::Auto` takes the exact engine and runs branch
     // & bound to its 500-node limit — the gate is the simplex kernel at
     // work, one LP per node.
-    let (c7552, _) = map_aig(&circuits::c7552_sized(4), &lib).cleaned();
+    let c7552_aig = circuits::c7552_sized(4);
+    let (c7552, _) = map_aig(&c7552_aig, &lib).cleaned();
     let c7552_det = detect_t1(&c7552, &lib, &cut_config).network;
     c.bench_function("assign_phases/c7552_4_t1", |b| {
         b.iter(|| assign_phases(&c7552_det, 4, PhaseEngine::Auto).expect("feasible"))
+    });
+
+    // The served pulse-level sweep: every `verify=1` request co-simulates
+    // `c7552_mini`'s timed network against its AIG over all 512 input
+    // vectors, pipelined back to back — the gate for any `PulseSim` change.
+    let c7552_timed = run_flow(&c7552_aig, &FlowConfig::t1(4))
+        .expect("flow")
+        .timed;
+    c.bench_function("check_against_aig/c7552_4_t1", |b| {
+        b.iter(|| {
+            check_against_aig(&c7552_aig, &c7552_timed, &EquivConfig::default())
+                .expect("equivalent")
+        })
     });
 }
 

@@ -8,9 +8,9 @@
 //! other test in the suite).
 
 use sfq_t1::core::{TimedNetwork, TimingError};
-use sfq_t1::netlist::{CellKind, GateKind, Network, Signal, T1Port};
+use sfq_t1::netlist::{CellId, CellKind, GateKind, Network, Signal, T1Port};
 use sfq_t1::prelude::*;
-use sfq_t1::sim::Hazard;
+use sfq_t1::sim::{Hazard, PulseSim};
 
 /// A verified T1 flow on one full adder (the smallest T1-committing design).
 fn t1_full_adder() -> TimedNetwork {
@@ -259,5 +259,44 @@ fn clean_networks_pass_both_checkers() {
         let ones = (p as u8).count_ones();
         assert_eq!(out[0], ones & 1 == 1, "sum bit for pattern {p}");
         assert_eq!(out[1], ones >= 2, "carry bit for pattern {p}");
+    }
+}
+
+#[test]
+fn simulator_hazard_reports_are_deterministic() {
+    // Inputs a and b each feed an INV at stage 9 under n = 4: every wave
+    // after the first lands on a slot still holding wave 0's pulse, on
+    // both inverters in the same tick. Inputs fire in declaration order,
+    // so the hazard list — and the first hazard a FAILED row names — is
+    // the same for every simulator built over the network.
+    let mut net = Network::new("twin_inv");
+    let a = net.add_input("a");
+    let b = net.add_input("b");
+    let na = net.add_gate(GateKind::Inv, &[a]);
+    let nb = net.add_gate(GateKind::Inv, &[b]);
+    net.add_output("ya", na);
+    net.add_output("yb", nb);
+    let timed = TimedNetwork {
+        stages: vec![0, 0, 9, 9],
+        num_phases: 4,
+        output_stage: 9,
+        network: net,
+    };
+    let waves = vec![vec![true, true]; 3];
+    let double = |cell: u32, tick: u64| Hazard::DoublePulse {
+        cell: CellId(cell),
+        fanin: 0,
+        tick,
+    };
+    let expected = [double(2, 4), double(3, 4), double(2, 8), double(3, 8)];
+    for _ in 0..50 {
+        let err = PulseSim::new(&timed)
+            .run(&waves)
+            .expect_err("overspanned inverters double-pulse");
+        assert_eq!(err.hazards(), expected);
+        assert_eq!(
+            err.to_string(),
+            "pulse simulation detected 4 hazard(s); first: double pulse on input 0 of c2 at tick 4"
+        );
     }
 }
