@@ -4,6 +4,7 @@
 //! * `assign_phases/*` — heuristic coordinate descent, T1-detected subjects
 //!   (`assign_phases/log2_1phi`: the clean subject at one phase;
 //!   `assign_phases/c7552_4_t1`: the exact MILP engine instead);
+//! * `map_aig/*` — technology mapping (`map_aig/log2` at paper scale);
 //! * `enumerate_cuts/*` — 3-feasible cut enumeration on mapped networks;
 //! * `simulate/log2_1phi` — the equivalence check's multi-word simulation;
 //! * `check_against_aig/c7552_4_t1` — the served pulse-level sweep.
@@ -66,12 +67,14 @@ fn bench_hotpaths(c: &mut Criterion) {
     });
 
     // Paper-scale log2: the Table I row where the back three stages are
-    // nearly balanced. `enumerate_cuts/log2` and `detect_t1/log2` gate cut
+    // nearly balanced. `map_aig/log2` gates the mapper at paper scale, its
+    // largest AIG; `enumerate_cuts/log2` and `detect_t1/log2` gate cut
     // enumeration and detection, which run on the calling thread at every
     // worker count; `assign_phases/log2_t1` and `insert_dffs/log2` gate the
     // timing-engine phase/dff stages, and `assign_phases/log2_1phi` the
     // baseline columns' phase path (the clean subject, no T1, n = 1).
     let log2_aig = circuits::log2_shift_add(32);
+    c.bench_function("map_aig/log2", |b| b.iter(|| map_aig(&log2_aig, &lib)));
     let (log2, _) = map_aig(&log2_aig, &lib).cleaned();
     c.bench_function("enumerate_cuts/log2", |b| {
         b.iter(|| enumerate_cuts(&log2, &cut_config))

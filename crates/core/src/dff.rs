@@ -260,8 +260,10 @@ pub(crate) fn emit_planned(
     // new signal per chain element, parallel to `chain_stages`.
     let mut tap_sig: Vec<Signal> = vec![undef; chain_stages.len()];
 
-    let mut out = Network::new(net.name().to_string());
-    let mut out_stages: Vec<u32> = Vec::with_capacity(net.num_cells() + chain_stages.len());
+    // Every old cell plus one DFF per chain element: the exact output size.
+    let cells = net.num_cells() + chain_stages.len();
+    let mut out = Network::with_capacity(net.name().to_string(), cells);
+    let mut out_stages: Vec<u32> = Vec::with_capacity(cells);
     let mut inputs_done = 0usize;
     let mut fan_buf: Vec<Signal> = Vec::with_capacity(3);
 

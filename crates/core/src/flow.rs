@@ -11,6 +11,12 @@
 //! Every flow ends with a structural timing audit and a functional
 //! equivalence check (bit-parallel simulation against the input network), so
 //! a [`FlowResult`] is a verified artifact, not just numbers.
+//!
+//! A flow keeps alive only what a later stage reads. [`run_flow`] drops
+//! the mapped network once it is cleaned; a flow that commits no T1 cells
+//! runs phase assignment on the clean network itself, not on a copy; and
+//! the T1-detected subject and the timing engine are dropped once DFF
+//! emission has run, before the audit and the equivalence check.
 
 use crate::detect::detect_t1_with_threshold;
 use crate::engine::TimingEngine;
@@ -179,7 +185,9 @@ fn stage_gate(site: &'static str, name: &str) -> Result<(), FlowError> {
 pub fn run_flow(aig: &Aig, config: &FlowConfig) -> Result<FlowResult, FlowError> {
     stage_gate("flow.map", aig.name())?;
     let mapped = map_aig(aig, &config.library);
-    run_flow_on_network(&mapped, config)
+    let clean = validated_clean(&mapped)?;
+    drop(mapped);
+    run_flow_on_clean(clean, config)
 }
 
 /// Runs a flow on an externally ingested [`Design`] (AIGER or BLIF file
@@ -197,22 +205,35 @@ pub fn run_flow_on_design(design: &Design, config: &FlowConfig) -> Result<FlowRe
 /// # Errors
 /// See [`FlowError`].
 pub fn run_flow_on_network(net: &Network, config: &FlowConfig) -> Result<FlowResult, FlowError> {
+    run_flow_on_clean(validated_clean(net)?, config)
+}
+
+/// Validates the flow's input network and sweeps its dead cells.
+fn validated_clean(net: &Network) -> Result<Network, FlowError> {
     net.validate()
         .map_err(|e| FlowError::BadInput(e.to_string()))?;
-    let (clean, _) = net.cleaned();
+    Ok(net.cleaned().0)
+}
 
+/// The stages after cleaning. The T1-detected subject and the timing
+/// engine are dropped once DFF emission has run, so the audit and the
+/// equivalence check run beside only the clean and the timed networks.
+fn run_flow_on_clean(clean: Network, config: &FlowConfig) -> Result<FlowResult, FlowError> {
     stage_gate("flow.detect", clean.name())?;
-    let (subject, t1_found, t1_used) = detect_stage(&clean, config);
+    let (detected, t1_found, t1_used) = detect_stage(&clean, config);
+    let subject = detected.as_ref().unwrap_or(&clean);
 
     // Stages 2 + 3: phase assignment and DFF insertion share one
     // incremental timing engine — the winning descent state's arrivals and
     // memoized chain plans feed the emission pass directly, so nothing is
     // derived twice.
     stage_gate("flow.phase", clean.name())?;
-    let mut engine = TimingEngine::new(&subject, config.phases)?;
+    let mut engine = TimingEngine::new(subject, config.phases)?;
     engine.assign(config.engine, config.restarts)?;
     stage_gate("flow.dff", clean.name())?;
     let timed = engine.emit();
+    drop(engine);
+    drop(detected);
 
     // Verification: audit + functional equivalence against the input.
     stage_gate("flow.verify", clean.name())?;
@@ -234,14 +255,17 @@ pub fn run_flow_on_network(net: &Network, config: &FlowConfig) -> Result<FlowRes
     Ok(FlowResult { timed, report })
 }
 
-/// Stage 1: T1 detection on the cleaned network. Returns the subject of
-/// phase assignment plus the found/used T1 counts. A T1 cell needs three
-/// pairwise-distinct arrival slots inside its input window of n−1 stages,
-/// so with n < 4 candidates are still *found* (reported) but none can
-/// commit.
-pub(crate) fn detect_stage(clean: &Network, config: &FlowConfig) -> (Network, usize, usize) {
+/// Stage 1: T1 detection on the cleaned network. Returns the T1-detected
+/// subject of phase assignment (`None`: the subject is `clean` itself)
+/// plus the found/used T1 counts. A T1 cell needs three pairwise-distinct
+/// arrival slots inside its input window of n−1 stages, so with n < 4
+/// candidates are still *found* (reported) but none can commit.
+pub(crate) fn detect_stage(
+    clean: &Network,
+    config: &FlowConfig,
+) -> (Option<Network>, usize, usize) {
     if !config.use_t1 {
-        return (clean.clone(), 0, 0);
+        return (None, 0, 0);
     }
     let det = detect_t1_with_threshold(
         clean,
@@ -250,9 +274,9 @@ pub(crate) fn detect_stage(clean: &Network, config: &FlowConfig) -> (Network, us
         config.gain_threshold,
     );
     if config.phases >= 4 {
-        (det.network, det.found, det.used)
+        (Some(det.network), det.found, det.used)
     } else {
-        (clean.clone(), det.found, 0)
+        (None, det.found, 0)
     }
 }
 

@@ -998,9 +998,10 @@ mod milp_fingerprint {
                 ("4phi", FlowConfig::multiphase(4)),
             ] {
                 let (clean, _) = map_aig(&design.aig, &config.library).cleaned();
-                let (subject, _, _) = detect_stage(&clean, &config);
-                let mut engine = TimingEngine::new(&subject, config.phases).expect("phases ok");
-                if !auto_takes_exact(&subject, engine.num_t1()) {
+                let (detected, _, _) = detect_stage(&clean, &config);
+                let subject = detected.as_ref().unwrap_or(&clean);
+                let mut engine = TimingEngine::new(subject, config.phases).expect("phases ok");
+                if !auto_takes_exact(subject, engine.num_t1()) {
                     continue;
                 }
                 let (_, sol) = engine.exact(AUTO_NODE_LIMIT).expect("MILP solves");
@@ -1269,8 +1270,10 @@ mod equivalence {
             FlowConfig::multiphase(4),
             FlowConfig::t1(4),
         ] {
-            let (subject, _, _) = detect_stage(&clean, &config);
-            assert!(is_index_ordered(&subject));
+            let (detected, _, _) = detect_stage(&clean, &config);
+            // Only a T1 flow at n ≥ 4 builds a subject of its own.
+            assert_eq!(detected.is_some(), config.use_t1 && config.phases >= 4);
+            assert!(is_index_ordered(detected.as_ref().unwrap_or(&clean)));
             let timed = run_flow(&aig, &config).expect("flow").timed.network;
             assert!(is_index_ordered(&timed));
         }

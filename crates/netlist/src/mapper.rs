@@ -28,89 +28,99 @@
 //!
 //! # Data layout (see `benches/hotpaths.rs` for the regression gates)
 //!
-//! The hot paths got the same treatment as [`crate::cuts`] (ISSUE 2); the
+//! The mapper is one compact pass over the AIG, then a cover walk. The
 //! original implementation survives verbatim as
 //! [`crate::mapper_reference::map_aig_reference`], and the differential
 //! harness asserts the two produce bit-identical networks:
 //!
-//! * **2-feasible cuts live in one flat CSR table** (`Cut2`: two inline
-//!   leaf ids + a 2-variable truth table per cut) with a `(start, len)` span
-//!   per AIG node — no `Vec<(Vec<AigNodeId>, TruthTable)>` per node, no
-//!   cloned fanin cut lists. Complemented fanin edges complement the borrowed
-//!   cut function on the fly instead of materializing a complemented copy of
-//!   the whole fanin cut set (the old `leaf_cuts` allocated a fresh
-//!   `(Vec, TruthTable)` pair per leaf cut per node).
-//! * **Candidate dedup is one `u64` compare**: a cut's sorted leaf pair packs
-//!   into a single integer key, and a cut's function over a fixed leaf set is
-//!   unique, so duplicate candidates are rejected *before* their truth tables
-//!   are derived.
-//! * **Boolean matching is a 16-entry lookup**: all 24 `(gate, input-flip
-//!   mask)` pairs are bucketed by the 2-variable function they realize once
-//!   per mapping, replacing the 24 `flip_vars` truth-table comparisons the DP
-//!   inner loop used to do per cut.
-//! * **Cover memoization is dense**: the three `HashMap<AigNodeId, Signal>`
-//!   polarity tables (positive / shared-INV / complement-gate) are
-//!   `Vec<Option<Signal>>` indexed by node id, and matches store their ≤ 2
-//!   leaves inline, so cover extraction never hashes or heap-allocates per
-//!   node.
+//! * **A cut is 12 bytes** (`Cut`): two `u32` leaf node ids, sorted, the
+//!   second `NO_LEAF` for a 1-leaf cut, plus the node's function as a 4-row
+//!   table byte. A 1-leaf function reads row bit 0, so it needs re-laying
+//!   only when its leaf becomes the second leaf of a pair. All cuts live in
+//!   one CSR table (`first[v]..first[v + 1]` per node), and a complemented
+//!   fanin edge flips the borrowed table (`^ 0xF`) instead of copying the
+//!   fanin's cut set. A leaf pair is its own dedup key, checked before the
+//!   candidate's table is derived.
+//! * **The area-flow DP runs inside cut enumeration.** Each new 2-leaf cut
+//!   is matched as it is pushed, in the order the reference scans the
+//!   finished set, through a fixed 16-entry table of `(gate, input-flip
+//!   mask)` pairs per function. Leaf costs come from one `f64` per node,
+//!   `cost / fanout`: the same operands, divided and summed in the same
+//!   order as the reference, so ties break identically.
+//! * **A match is 12 bytes** (`Match`: two leaves, the gate, the flip
+//!   mask). The cut table and the per-node cost and fanout arrays are
+//!   dropped before the cover walk, which keeps only the matches, the
+//!   polarity demand and one `[u32; 3]` memo per node (positive cell,
+//!   shared INV, complement gate).
+//! * **The output network is allocated once**: the demand pass fixes the
+//!   exact cell count (one cell per demanded polarity of an AND node, an
+//!   INV per complemented input, the constant gates), so the cell vector
+//!   never grows by doubling.
 //!
-//! Measured effect (criterion medians, one dev machine, 2026-07, see
-//! `BENCH_flow.json`): `map_aig/adder32` 187 µs → 29 µs (6.3×),
-//! `map_aig/adder64` 359 µs → 54 µs (6.6×), `map_aig/multiplier12`
-//! 846 µs → 117 µs (7.2×); the map stage of `profile_scale` at paper scale
-//! dropped 3.5–7.7× per benchmark (`log2` 76 ms → 18 ms).
+//! Measured effect against the previous layout (a `Vec` per function in the
+//! match table, a separate DP pass storing each match with its `f64` cost,
+//! three `Option<Signal>` memo tables, an output grown by doubling): criterion
+//! medians on a 2-vCPU x86-64 host, median of three alternating runs,
+//! `map_aig/log2` 13.7 → 5.0 ms (2.8×), `map_aig/multiplier12`
+//! 151 → 76 µs, `map_aig/adder32` 29.2 → 19.6 µs. In the paper flows the
+//! mapped network is dropped once it is cleaned (`sfq_core::run_flow`).
 
 use crate::aig::{Aig, AigLit, AigNodeId};
 use crate::cell::{GateKind, Library};
-use crate::network::{Network, Signal};
+use crate::network::{CellId, Network, Signal};
 use sfq_tt::TruthTable;
 
-/// Filler for the unused second leaf slot of a 1-leaf cut. Real node ids are
-/// always smaller (an AIG with `u32::MAX` nodes cannot be built), so packed
-/// dedup keys of 1- and 2-leaf cuts never collide.
-const NO_NODE: AigNodeId = AigNodeId(u32::MAX);
+/// Filler for the unused second leaf of a 1-leaf cut. Real node ids are
+/// always smaller (an AIG with `u32::MAX` nodes cannot be built), so it
+/// sorts after every leaf and a leaf pair compares as one key.
+const NO_LEAF: u32 = u32::MAX;
 
-/// One 2-feasible cut: sorted leaf nodes stored inline and the node's
-/// positive function over them (1 or 2 variables).
+/// A memo slot whose cell is not built yet.
+const NO_CELL: u32 = u32::MAX;
+
+/// The 4-row table of leaf 0 (row `r` reads leaf 0 at bit 0 of `r`,
+/// leaf 1 at bit 1).
+const VAR0: u8 = 0b1010;
+
+/// One ≤ 2-feasible cut, 12 bytes: its sorted leaf node ids (the second
+/// [`NO_LEAF`] for a 1-leaf cut) and the node's positive function over them
+/// as a 4-row table. A 1-leaf function reads leaf 0 only, so it is already
+/// laid out for any pair whose first leaf is its leaf.
 #[derive(Clone, Copy)]
-struct Cut2 {
-    leaves: [AigNodeId; 2],
-    len: u8,
-    tt: TruthTable,
+struct Cut {
+    leaves: [u32; 2],
+    tt: u8,
 }
 
-/// Packs a sorted ≤ 2-leaf set (second slot [`NO_NODE`] when unused) into
-/// the single integer compared during candidate dedup.
-#[inline]
-fn leaf_key(leaves: &[AigNodeId; 2]) -> u64 {
-    (u64::from(leaves[0].0) << 32) | u64::from(leaves[1].0)
-}
-
-impl Cut2 {
+impl Cut {
     #[inline]
-    fn key(&self) -> u64 {
-        leaf_key(&self.leaves)
+    fn trivial(node: u32) -> Self {
+        Cut {
+            leaves: [node, NO_LEAF],
+            tt: VAR0,
+        }
     }
 }
 
-/// The chosen realization of one AIG node: a library gate over ≤ 2 leaves.
+/// The chosen realization of one AND node, 12 bytes: a library gate over
+/// two positive leaf nodes. Its area-flow cost lives in the DP's per-node
+/// `flow` table, which cover extraction never reads.
 #[derive(Debug, Clone, Copy)]
 struct Match {
+    leaves: [u32; 2],
     gate: GateKind,
-    /// Positive leaf nodes the gate reads (first `len` entries).
-    leaves: [AigNodeId; 2],
-    len: u8,
     /// Bit `i` set ⇒ leaf `i` enters through the shared inverter cell.
     neg_mask: u8,
-    cost: f64,
 }
 
-impl Match {
-    #[inline]
-    fn leaves(&self) -> &[AigNodeId] {
-        &self.leaves[..self.len as usize]
-    }
-}
+const _: () = assert!(std::mem::size_of::<Cut>() == 12 && std::mem::size_of::<Match>() == 12);
+
+/// Placeholder of the nodes that are not ANDs (never read).
+const UNMATCHED: Match = Match {
+    leaves: [NO_LEAF; 2],
+    gate: GateKind::And2,
+    neg_mask: 0,
+};
 
 /// All single-output gates considered during covering, with their functions.
 pub(crate) fn gate_patterns() -> Vec<(GateKind, TruthTable)> {
@@ -125,6 +135,22 @@ pub(crate) fn gate_patterns() -> Vec<(GateKind, TruthTable)> {
     .into_iter()
     .map(|g| (g, g.truth_table()))
     .collect()
+}
+
+/// For each of the 16 two-variable functions, the `(gate, input-flip mask)`
+/// pairs realizing it (`.1` of them), in the reference's (pattern, mask)
+/// scan order so cost ties break identically. The XOR and XNOR functions
+/// have four realizations each, every other function at most two.
+fn match_table() -> [([(GateKind, u8); 4], u8); 16] {
+    let mut tbl = [([(GateKind::And2, 0u8); 4], 0u8); 16];
+    for (g, gtt) in gate_patterns() {
+        for mask in 0u8..4 {
+            let (pairs, len) = &mut tbl[gtt.flip_vars(mask).bits() as usize];
+            pairs[usize::from(*len)] = (g, mask);
+            *len += 1;
+        }
+    }
+    tbl
 }
 
 /// Maps an AIG to a [`Network`] over the SFQ gate library.
@@ -161,233 +187,189 @@ pub fn map_aig(aig: &Aig, lib: &Library) -> Network {
         refs[o.node().0 as usize] += 1;
     }
 
-    // ---- 2-feasible cuts: flat CSR table ---------------------------------
-    // cuts[spans[node]] = the node's cut set (trivial cut first), leaves
-    // sorted, function over *positive* leaf variables.
-    let mut cuts: Vec<Cut2> = Vec::new();
-    let mut spans: Vec<(u32, u32)> = vec![(0, 0); n];
-    let mut node_cuts: Vec<Cut2> = Vec::new();
+    // ---- cuts and the area-flow DP, one pass ------------------------------
+    // cuts[first[v]..first[v + 1]] = node v's cut set (trivial cut first).
+    // Every new 2-leaf cut of an AND node is matched as it is pushed, in the
+    // order the reference scans the finished cut set, so the cheapest match
+    // (first wins on ties) is the reference's. flow[v] = cost(v) / fanout(v),
+    // the share a cut with leaf v pays for it (0 for inputs): the same f64
+    // operands the reference divides inline, so every sum is bit-identical.
+    let matches_of = match_table();
+    let inv = lib.inv as f64;
+    let mut flow = vec![0.0f64; n];
+    let mut best = vec![UNMATCHED; n];
+    // The paper designs keep 2.0–2.5 cuts per node, so this never regrows
+    // on them.
+    let mut cuts: Vec<Cut> = Vec::with_capacity(3 * n);
+    let mut first: Vec<u32> = Vec::with_capacity(n + 1);
     for raw in 0..n as u32 {
+        let start = cuts.len();
+        first.push(start as u32);
         let id = AigNodeId(raw);
-        node_cuts.clear();
-        if aig.is_input(id) {
-            node_cuts.push(Cut2 {
-                leaves: [id, NO_NODE],
-                len: 1,
-                tt: TruthTable::var(1, 0),
-            });
-        } else if aig.is_and(id) {
-            node_cuts.push(Cut2 {
-                leaves: [id, NO_NODE],
-                len: 1,
-                tt: TruthTable::var(1, 0),
-            });
-            let (fa, fb) = aig.and_fanins(id);
-            let (a_start, a_len) = spans[fa.node().0 as usize];
-            let (b_start, b_len) = spans[fb.node().0 as usize];
-            for ai in a_start..a_start + a_len {
-                let a = cuts[ai as usize];
-                // Entering through a complemented edge complements the
-                // borrowed cut function — no cloned fanin cut set.
-                let ta = if fa.is_complemented() { !a.tt } else { a.tt };
-                for bi in b_start..b_start + b_len {
-                    let b = cuts[bi as usize];
-                    let Some((leaves, len)) = merge_leaves2(&a, &b) else {
-                        continue;
-                    };
-                    let key = leaf_key(&leaves);
-                    if node_cuts.iter().any(|c| c.key() == key) {
-                        continue; // same leaf set ⇒ same function; first wins
-                    }
-                    let tb = if fb.is_complemented() { !b.tt } else { b.tt };
-                    let tt = expand2(ta, a.leaves[0], a.len, &leaves, len)
-                        & expand2(tb, b.leaves[0], b.len, &leaves, len);
-                    node_cuts.push(Cut2 { leaves, len, tt });
+        if !aig.is_and(id) {
+            // An input has its trivial cut only; the constant has none.
+            if aig.is_input(id) {
+                cuts.push(Cut::trivial(raw));
+            }
+            continue;
+        }
+        cuts.push(Cut::trivial(raw));
+        let (fa, fb) = aig.and_fanins(id);
+        let span = |lit: AigLit| {
+            let v = lit.node().0 as usize;
+            first[v] as usize..first[v + 1] as usize
+        };
+        // Entering through a complemented edge complements the borrowed cut
+        // function (all four rows, so a 1-leaf table stays a leaf-0 table).
+        let flip = |lit: AigLit| if lit.is_complemented() { 0xF } else { 0 };
+        let (flip_a, flip_b) = (flip(fa), flip(fb));
+        let mut found: Option<(f64, Match)> = None;
+        for ai in span(fa) {
+            let a = cuts[ai];
+            for bi in span(fb) {
+                let b = cuts[bi];
+                let Some(leaves) = merge_leaves(a.leaves, b.leaves) else {
+                    continue;
+                };
+                if cuts[start..].iter().any(|c| c.leaves == leaves) {
+                    continue; // same leaf set ⇒ same function; first wins
                 }
-            }
-        }
-        spans[raw as usize] = (cuts.len() as u32, node_cuts.len() as u32);
-        cuts.extend_from_slice(&node_cuts);
-    }
-
-    // ---- Boolean match table ---------------------------------------------
-    // For each of the 16 two-variable functions, the (gate, input-flip mask)
-    // pairs realizing it, in the reference's (pattern, mask) scan order so
-    // cost ties break identically.
-    let patterns = gate_patterns();
-    let mut match_tbl: [Vec<(GateKind, u8)>; 16] = Default::default();
-    for (g, gtt) in &patterns {
-        for mask in 0u8..4 {
-            match_tbl[gtt.flip_vars(mask).bits() as usize].push((*g, mask));
-        }
-    }
-
-    // ---- single-polarity DP ------------------------------------------------
-    // best[node]: cheapest realization of the node's positive function.
-    let mut best: Vec<Option<Match>> = vec![None; n];
-    let node_cost = |best: &[Option<Match>], node: AigNodeId| -> f64 {
-        if aig.is_input(node) {
-            0.0
-        } else {
-            best[node.0 as usize]
-                .as_ref()
-                .map_or(f64::INFINITY, |m| m.cost)
-        }
-    };
-    for id in aig.and_ids() {
-        let mut found: Option<Match> = None;
-        let (start, len) = spans[id.0 as usize];
-        for cut in &cuts[start as usize..(start + len) as usize] {
-            if cut.len == 1 {
-                continue; // the trivial cut cannot implement its own root
-            }
-            for &(g, mask) in &match_tbl[cut.tt.bits() as usize] {
-                let mut cost = lib.gate_area(g) as f64;
-                for (i, &leaf) in cut.leaves.iter().enumerate() {
-                    let fanout = f64::from(refs[leaf.0 as usize].max(1));
-                    cost += node_cost(&best, leaf) / fanout;
-                    if mask >> i & 1 == 1 {
-                        // Shared inverter, amortized like the leaf.
-                        cost += lib.inv as f64 / fanout;
+                let tt = expand(a.tt ^ flip_a, a.leaves[0], leaves)
+                    & expand(b.tt ^ flip_b, b.leaves[0], leaves);
+                cuts.push(Cut { leaves, tt });
+                if leaves[1] == NO_LEAF {
+                    continue; // a 1-leaf cut implements no 2-input gate
+                }
+                let (pairs, len) = &matches_of[usize::from(tt)];
+                for &(gate, neg_mask) in &pairs[..usize::from(*len)] {
+                    let mut cost = lib.gate_area(gate) as f64;
+                    for (i, &leaf) in leaves.iter().enumerate() {
+                        cost += flow[leaf as usize];
+                        if neg_mask >> i & 1 == 1 {
+                            // Shared inverter, amortized like the leaf.
+                            cost += inv / f64::from(refs[leaf as usize].max(1));
+                        }
+                    }
+                    if found.is_none_or(|(c, _)| cost < c) {
+                        found = Some((
+                            cost,
+                            Match {
+                                leaves,
+                                gate,
+                                neg_mask,
+                            },
+                        ));
                     }
                 }
-                if found.is_none_or(|b| cost < b.cost) {
-                    found = Some(Match {
-                        gate: g,
-                        leaves: cut.leaves,
-                        len: cut.len,
-                        neg_mask: mask,
-                        cost,
-                    });
-                }
             }
         }
-        best[id.0 as usize] = Some(found.expect("every AND node matches AND2 on its fanin cut"));
+        let (cost, m) = found.expect("every AND node matches AND2 on its fanin cut");
+        best[raw as usize] = m;
+        flow[raw as usize] = cost / f64::from(refs[raw as usize].max(1));
     }
+    drop((cuts, first, flow, refs));
 
     // ---- polarity demand over the chosen cover ------------------------------
     // demand[node] bits: 1 = positive use, 2 = complemented use.
     let mut demand = vec![0u8; n];
     {
-        let mut stack: Vec<(AigNodeId, bool)> = aig
+        let mut stack: Vec<(u32, bool)> = aig
             .outputs()
             .iter()
             .filter(|l| !l.is_constant())
-            .map(|l| (l.node(), l.is_complemented()))
+            .map(|l| (l.node().0, l.is_complemented()))
             .collect();
         while let Some((node, neg)) = stack.pop() {
             let bit = if neg { 2u8 } else { 1 };
-            if demand[node.0 as usize] & bit != 0 {
+            let d = &mut demand[node as usize];
+            if *d & bit != 0 {
                 continue;
             }
-            demand[node.0 as usize] |= bit;
-            if aig.is_input(node) {
-                continue;
-            }
+            *d |= bit;
             // The cover is polarity-oblivious below this node: its cell (of
-            // either polarity) reads the same leaf polarities.
-            if demand[node.0 as usize] & (bit ^ 3) != 0 {
-                continue; // leaves already visited through the other polarity
+            // either polarity) reads the same leaf polarities, so leaves
+            // already visited through the other polarity are skipped.
+            if aig.is_input(AigNodeId(node)) || *d & (bit ^ 3) != 0 {
+                continue;
             }
-            let m = best[node.0 as usize].as_ref().expect("covered node");
-            for (i, &leaf) in m.leaves().iter().enumerate() {
+            let m = best[node as usize];
+            for (i, &leaf) in m.leaves.iter().enumerate() {
                 stack.push((leaf, m.neg_mask >> i & 1 == 1));
             }
         }
     }
 
     // ---- cover extraction ---------------------------------------------------
-    let mut builder = Cover {
+    // The cell count follows from demand: an input adds its shared INV when
+    // complemented; an AND node one cell per demanded polarity (its gate or
+    // complement gate, plus the INV over its gate when both are demanded);
+    // each constant value one gate over input 0, which also needs that
+    // input's INV.
+    let mut cells = aig.num_inputs();
+    for (v, &d) in demand.iter().enumerate() {
+        cells += if aig.is_input(AigNodeId(v as u32)) {
+            usize::from(d >> 1)
+        } else {
+            d.count_ones() as usize
+        };
+    }
+    let constants = [AigLit::FALSE, AigLit::TRUE]
+        .iter()
+        .filter(|c| aig.outputs().contains(c))
+        .count();
+    if constants > 0 {
+        let needs_inv = aig
+            .inputs()
+            .first()
+            .is_some_and(|x| demand[x.0 as usize] & 2 == 0);
+        cells += constants + usize::from(needs_inv);
+    }
+    let mut cover = Cover {
         aig,
         best: &best,
         demand: &demand,
-        net: Network::new(aig.name()),
-        positive: vec![None; n],
-        inverted: vec![None; n],
-        complement: vec![None; n],
+        net: Network::with_capacity(aig.name(), cells),
+        memo: vec![[NO_CELL; 3]; n],
     };
     for (k, i) in aig.inputs().iter().enumerate() {
-        let s = builder.net.add_input(aig.input_name(k).to_string());
-        builder.positive[i.0 as usize] = Some(s);
+        let s = cover.net.add_input(aig.input_name(k).to_string());
+        cover.memo[i.0 as usize][POSITIVE] = s.cell.0;
     }
-    let outputs: Vec<(String, AigLit)> = (0..aig.num_outputs())
-        .map(|k| (aig.output_name(k).to_string(), aig.outputs()[k]))
-        .collect();
     let mut const_cache: [Option<Signal>; 2] = [None, None];
-    for (name, lit) in outputs {
+    for (k, &lit) in aig.outputs().iter().enumerate() {
         let s = if lit.is_constant() {
-            builder.constant(lit == AigLit::TRUE, &mut const_cache)
+            cover.constant(lit == AigLit::TRUE, &mut const_cache)
         } else {
-            builder.literal(lit)
+            cover.literal(lit)
         };
-        builder.net.add_output(name, s);
+        cover.net.add_output(aig.output_name(k).to_string(), s);
     }
-    builder.net
+    cover.net
 }
 
-/// Union of two sorted ≤ 2-leaf sets; `None` when it exceeds 2 leaves.
+/// Union of two sorted ≤ 2-leaf sets ([`NO_LEAF`]-padded); `None` when it
+/// exceeds 2 leaves.
 #[inline]
-fn merge_leaves2(a: &Cut2, b: &Cut2) -> Option<([AigNodeId; 2], u8)> {
-    let (alen, blen) = (a.len as usize, b.len as usize);
-    let mut out = [NO_NODE; 2];
-    let mut len = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < alen || j < blen {
-        let v = if j >= blen {
-            let v = a.leaves[i];
-            i += 1;
-            v
-        } else if i >= alen {
-            let v = b.leaves[j];
-            j += 1;
-            v
-        } else {
-            let (x, y) = (a.leaves[i], b.leaves[j]);
-            if x <= y {
-                i += 1;
-                if x == y {
-                    j += 1;
-                }
-                x
-            } else {
-                j += 1;
-                y
-            }
-        };
-        if len == 2 {
-            return None;
-        }
-        out[len] = v;
-        len += 1;
-    }
-    Some((out, len as u8))
+fn merge_leaves(a: [u32; 2], b: [u32; 2]) -> Option<[u32; 2]> {
+    let x = a[0].min(b[0]);
+    // Each side's smallest leaf above `x` (or the filler).
+    let an = if a[0] == x { a[1] } else { a[0] };
+    let bn = if b[0] == x { b[1] } else { b[0] };
+    let y = an.min(bn);
+    let fits = |v: u32| v == x || v == y || v == NO_LEAF;
+    (fits(an) && fits(a[1]) && fits(bn) && fits(b[1])).then_some([x, y])
 }
 
-/// Re-expresses `tt` (over a sorted ≤ 2-leaf set) on the sorted superset
-/// `new`. Equal lengths mean equal sets (both sorted subsets), so only the
-/// 1 → 2 variable case does any work.
+/// Re-expresses `tt` (a cut function whose first leaf is `old0`) over the
+/// sorted leaf pair `new`, a superset of its leaves. Only a 1-leaf function
+/// whose leaf becomes leaf 1 changes: its rows select on bit 1, not bit 0.
 #[inline]
-fn expand2(
-    tt: TruthTable,
-    old0: AigNodeId,
-    old_len: u8,
-    new: &[AigNodeId; 2],
-    new_len: u8,
-) -> TruthTable {
-    if old_len == new_len {
-        return tt;
-    }
-    debug_assert!(old_len == 1 && new_len == 2);
-    let bits = tt.bits();
-    let (b0, b1) = (bits & 1, bits >> 1 & 1);
-    let expanded = if new[0] == old0 {
-        // old variable is var 0 of the pair: rows select on bit 0.
-        (b0 * 0b0101) | (b1 * 0b1010)
+fn expand(tt: u8, old0: u32, new: [u32; 2]) -> u8 {
+    if old0 == new[1] {
+        ((tt & 1) * 0b0011) | ((tt >> 1 & 1) * 0b1100)
     } else {
-        // old variable is var 1: rows select on bit 1.
-        (b0 * 0b0011) | (b1 * 0b1100)
-    };
-    TruthTable::from_bits_truncated(2, expanded)
+        tt
+    }
 }
 
 /// The library gate computing the complement function (same fanins).
@@ -404,64 +386,72 @@ pub(crate) fn complement_gate(g: GateKind) -> GateKind {
     }
 }
 
+/// Memo slots of [`Cover::memo`]: the node's own gate (or input cell),
+/// its shared INV, its complement gate.
+const POSITIVE: usize = 0;
+const INVERTED: usize = 1;
+const COMPLEMENT: usize = 2;
+
 /// Memoized cover materialization: one logic cell per AIG node (positive or
 /// complement form), plus at most one shared INV when both polarities are
-/// demanded. Memo tables are dense per-node vectors, not hash maps.
+/// demanded.
 struct Cover<'a> {
     aig: &'a Aig,
-    best: &'a [Option<Match>],
+    best: &'a [Match],
     demand: &'a [u8],
     net: Network,
-    positive: Vec<Option<Signal>>,
-    inverted: Vec<Option<Signal>>,
-    complement: Vec<Option<Signal>>,
+    /// Per node, the cell id in each memo slot (or [`NO_CELL`]). Every
+    /// mapped cell drives port 0, so an id is its signal.
+    memo: Vec<[u32; 3]>,
 }
 
 impl Cover<'_> {
-    fn fanins(&mut self, m: &Match) -> ([Signal; 2], usize) {
-        let mut out = [Signal::from_cell(crate::network::CellId(0)); 2];
-        for (i, slot) in out.iter_mut().take(m.len as usize).enumerate() {
-            let leaf = m.leaves[i];
+    fn fanins(&mut self, m: &Match) -> [Signal; 2] {
+        let mut out = [Signal::from_cell(CellId(0)); 2];
+        for (i, slot) in out.iter_mut().enumerate() {
+            let leaf = AigNodeId(m.leaves[i]);
             *slot = if m.neg_mask >> i & 1 == 1 {
                 self.negated(leaf)
             } else {
                 self.node(leaf)
             };
         }
-        (out, m.len as usize)
+        out
     }
 
     fn node(&mut self, node: AigNodeId) -> Signal {
-        if let Some(s) = self.positive[node.0 as usize] {
-            return s;
+        let v = node.0 as usize;
+        if self.memo[v][POSITIVE] != NO_CELL {
+            return Signal::from_cell(CellId(self.memo[v][POSITIVE]));
         }
-        let m = self.best[node.0 as usize].unwrap_or_else(|| panic!("no match for node {node:?}"));
-        let (fanins, len) = self.fanins(&m);
-        let s = self.net.add_gate(m.gate, &fanins[..len]);
-        self.positive[node.0 as usize] = Some(s);
+        let m = self.best[v];
+        let fanins = self.fanins(&m);
+        let s = self.net.add_gate(m.gate, &fanins);
+        self.memo[v][POSITIVE] = s.cell.0;
         s
     }
 
     fn negated(&mut self, node: AigNodeId) -> Signal {
-        if let Some(s) = self.inverted[node.0 as usize] {
-            return s;
+        let v = node.0 as usize;
+        let [_, inverted, complement] = self.memo[v];
+        if inverted != NO_CELL {
+            return Signal::from_cell(CellId(inverted));
         }
-        if let Some(s) = self.complement[node.0 as usize] {
-            return s;
+        if complement != NO_CELL {
+            return Signal::from_cell(CellId(complement));
         }
         // Complement-only demand on a logic node → the complement gate,
         // one cell, no inverter. Otherwise (inputs, dual demand) → shared INV.
-        if !self.aig.is_input(node) && self.demand[node.0 as usize] == 2 {
-            let m =
-                self.best[node.0 as usize].unwrap_or_else(|| panic!("no match for node {node:?}"));
-            let (fanins, len) = self.fanins(&m);
-            let s = self.net.add_gate(complement_gate(m.gate), &fanins[..len]);
-            self.complement[node.0 as usize] = Some(s);
+        if !self.aig.is_input(node) && self.demand[v] == 2 {
+            let m = self.best[v];
+            let fanins = self.fanins(&m);
+            let s = self.net.add_gate(complement_gate(m.gate), &fanins);
+            self.memo[v][COMPLEMENT] = s.cell.0;
             return s;
         }
         let pos = self.node(node);
         let s = self.net.add_gate(GateKind::Inv, &[pos]);
-        self.inverted[node.0 as usize] = Some(s);
+        self.memo[v][INVERTED] = s.cell.0;
         s
     }
 

@@ -21,12 +21,15 @@
 //!   gate `cleaned/multiplier12`: 61 µs → 50 µs).
 //! * [`Network::simulate_words`] is the one evaluator: it evaluates each
 //!   cell once across all pattern words into a flat per-pin table (a T1
-//!   cell owns five consecutive pins, every other cell one), and
-//!   [`Network::simulate`] is its one-word call. The flow's equivalence
-//!   check simulates each network once for all its words instead of once
-//!   per word (criterion gate `simulate/log2_1phi`, 4 words over the 1φ
-//!   timed log2 on a 2-vCPU x86-64 Xeon: 22 ms as four one-word calls,
-//!   3.7 ms in one pass). [`Network::cone_function`] memoizes pin
+//!   cell owns five consecutive pins, a DFF none, every other cell one),
+//!   and [`Network::simulate`] is its one-word call. A DFF is transparent,
+//!   so its pin aliases its driver's, resolved when the walk reaches it: a
+//!   timed network's DFFs (128k on the 1φ log2) cost one index write each
+//!   and no value slots. The flow's equivalence check simulates each
+//!   network once for all its words instead of once per word (criterion
+//!   gate `simulate/log2_1phi`, 4 words over the 1φ timed log2 on a 2-vCPU
+//!   x86-64 Xeon: 22 ms as four one-word calls, 3.7 ms in one pass; with
+//!   aliased DFF pins, 2.46 → 1.98 ms, medians of alternating runs). [`Network::cone_function`] memoizes pin
 //!   values in a flat `(cell × port)` byte table reset through a touch
 //!   list — no per-row `HashMap` churn.
 //! * [`Network::topological_order`] is a flat-CSR Kahn sweep. The
@@ -607,8 +610,10 @@ impl Network {
     /// `words` one-word calls.
     ///
     /// Each cell is evaluated once across all words into a flat per-pin
-    /// table. Cells are visited in index order when every fanin id is below
-    /// its cell's id (true of every network the flow builds), and in
+    /// table. A DFF gets no slot: its pin aliases its driver's pin, resolved
+    /// in visit order, so a chain of DFFs reads the value at its head.
+    /// Cells are visited in index order when every fanin id is below its
+    /// cell's id (true of every network the flow builds), and in
     /// [`Network::topological_order`] otherwise.
     ///
     /// # Panics
@@ -622,23 +627,27 @@ impl Network {
             "one pattern word per input and word"
         );
         // Pin `p` of cell `i` is pin `first_pin[i] + p`; its `words` values
-        // are contiguous in `values`.
+        // are contiguous in `values`. A DFF owns no pin: it is transparent,
+        // so its `first_pin` is set, when it is visited, to its driver's pin.
         let mut first_pin = Vec::with_capacity(self.cells.len());
         let mut pins = 0usize;
         for cell in &self.cells {
             first_pin.push(pins as u32);
-            pins += cell.kind.num_ports();
+            if cell.kind != CellKind::Dff {
+                pins += cell.kind.num_ports();
+            }
         }
-        let slot = |s: Signal| (first_pin[s.cell.0 as usize] as usize + s.port as usize) * words;
+        let pin = |first_pin: &[u32], s: Signal| first_pin[s.cell.0 as usize] + u32::from(s.port);
         let mut values = vec![0u64; pins * words];
         for (k, &id) in self.inputs.iter().enumerate() {
-            let at = slot(Signal::from_cell(id));
+            let at = first_pin[id.0 as usize] as usize * words;
             for w in 0..words {
                 values[at + w] = patterns[w * ni + k];
             }
         }
         self.visit_topological(|i| {
             let cell = &self.cells[i];
+            let slot = |s: Signal| pin(&first_pin, s) as usize * words;
             let at = first_pin[i] as usize * words;
             match cell.kind {
                 CellKind::Input => {}
@@ -667,15 +676,16 @@ impl Network {
                         values[port(T1Port::NotQ)] = !or3;
                     }
                 }
-                CellKind::Dff => {
-                    let a = slot(cell.fanins[0]);
-                    values.copy_within(a..a + words, at);
-                }
+                CellKind::Dff => first_pin[i] = pin(&first_pin, cell.fanins[0]),
             }
         });
         let mut out = Vec::with_capacity(words * self.outputs.len());
         for w in 0..words {
-            out.extend(self.outputs.iter().map(|&o| values[slot(o) + w]));
+            out.extend(
+                self.outputs
+                    .iter()
+                    .map(|&o| values[pin(&first_pin, o) as usize * words + w]),
+            );
         }
         out
     }

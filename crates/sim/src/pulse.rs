@@ -18,10 +18,10 @@
 //!
 //! [`PulseSim::new`] builds the whole schedule once, on dense tables:
 //!
-//! * **Pins** are numbered as `Network::simulate_words` numbers them: cell
-//!   `i` owns `num_ports()` consecutive pins (five for a T1 cell, one for
-//!   every other cell), in cell-id order, so pin order is `(cell, port)`
-//!   order and every per-pin table is O(pins).
+//! * **Pins**: cell `i` owns `num_ports()` consecutive pins (five for a T1
+//!   cell, one for every other cell, DFFs included, since a DFF delays its
+//!   pulse), in cell-id order, so pin order is `(cell, port)` order and
+//!   every per-pin table is O(pins).
 //! * **Sinks** are a CSR table: pin `q`'s consumers, as `(cell, fanin)`
 //!   pairs in consumer-id then fanin order, sit in one contiguous slice.
 //! * **Firing lists**: one per phase, every clocked cell of that phase

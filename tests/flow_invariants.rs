@@ -230,3 +230,58 @@ fn t1_needs_at_least_four_phases() {
     let r4 = run_flow(&aig, &FlowConfig::t1(4)).expect("flow").report;
     assert!(r4.t1_used > 0, "n=4 hosts T1 cells");
 }
+
+/// Asserts that `run_flow(aig, c)` and `run_flow_on_network` over the same
+/// mapped network produce the same report and a bit-identical timed network
+/// (kinds, fanins, stages, outputs) — the two entry points differ only in what
+/// they keep alive, never in what they compute.
+fn assert_entry_points_agree(name: &str, aig: &sfq_t1::netlist::Aig) {
+    for (column, config) in [
+        ("1phi", FlowConfig::single_phase()),
+        ("4phi", FlowConfig::multiphase(4)),
+        ("t1", FlowConfig::t1(4)),
+    ] {
+        let from_aig = run_flow(aig, &config).expect("flow from the AIG");
+        let mapped = map_aig(aig, &config.library);
+        let from_net = run_flow_on_network(&mapped, &config).expect("flow from the network");
+        assert_eq!(from_aig.report, from_net.report, "{name}/{column}: report");
+        let (a, b) = (&from_aig.timed, &from_net.timed);
+        assert_eq!(a.stages, b.stages, "{name}/{column}: stages");
+        assert_eq!(a.output_stage, b.output_stage, "{name}/{column}");
+        let (na, nb) = (&a.network, &b.network);
+        assert_eq!(na.num_cells(), nb.num_cells(), "{name}/{column}: cells");
+        for id in na.cell_ids() {
+            assert_eq!(na.kind(id), nb.kind(id), "{name}/{column}: kind of {id:?}");
+            assert_eq!(
+                na.fanins(id),
+                nb.fanins(id),
+                "{name}/{column}: fanins of {id:?}"
+            );
+        }
+        assert_eq!(na.outputs(), nb.outputs(), "{name}/{column}: outputs");
+    }
+}
+
+#[test]
+fn run_flow_equals_run_flow_on_the_mapped_network() {
+    use sfq_t1::circuits::ExtBenchmark;
+    use sfq_t1::netlist::design::Design;
+
+    for bench in Benchmark::ALL {
+        assert_entry_points_agree(bench.name(), &bench.build_small());
+    }
+    for bench in ExtBenchmark::ALL {
+        assert_entry_points_agree(bench.name(), &bench.build_small());
+    }
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/corpus");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("corpus directory")
+        .map(|e| e.expect("corpus entry").path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 7, "the checked-in corpus has 7 designs");
+    for path in &files {
+        let design = Design::read(path).expect("corpus design parses");
+        assert_entry_points_agree(&path.display().to_string(), &design.aig);
+    }
+}
