@@ -10,7 +10,7 @@
 //! checks against the committed golden `tests/golden/corpus_table.txt` at
 //! `SFQ_WORKERS=1` and `SFQ_WORKERS=4`.
 
-use sfq_core::{run_flow_on_design, FlowConfig, FlowError, FlowReport};
+use sfq_core::{run_flow, FlowConfig, FlowError, FlowReport};
 use sfq_netlist::design::{Design, DesignError};
 use sfq_netlist::par;
 use std::fmt;
@@ -102,7 +102,7 @@ pub fn run_corpus(dir: &Path) -> Result<Vec<CorpusRow>, CorpusError> {
     let results: Vec<Result<CorpusRow, CorpusError>> =
         par::map_ordered(designs, |(file, design)| {
             let flow = |config: &FlowConfig| {
-                run_flow_on_design(&design, config).map_err(|source| CorpusError::Flow {
+                run_flow(&design.aig, config).map_err(|source| CorpusError::Flow {
                     file: file.clone(),
                     source,
                 })

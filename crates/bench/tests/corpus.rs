@@ -6,7 +6,7 @@
 //! reproduce the committed golden batch table.
 
 use sfq_bench::corpus::{corpus_dir, format_corpus_table, load_corpus, run_corpus};
-use sfq_core::{run_flow_on_design, FlowConfig};
+use sfq_core::{run_flow, FlowConfig};
 use sfq_netlist::design::{Design, DesignFormat};
 
 #[test]
@@ -28,12 +28,12 @@ fn corpus_has_both_formats_and_enough_designs() {
 #[test]
 fn every_corpus_design_runs_the_full_flow_and_audits() {
     for (file, design) in load_corpus(&corpus_dir()).expect("corpus loads") {
-        let res = run_flow_on_design(&design, &FlowConfig::t1(4))
+        let res = run_flow(&design.aig, &FlowConfig::t1(4))
             .unwrap_or_else(|e| panic!("{file}: flow failed: {e}"));
         res.timed
             .audit()
             .unwrap_or_else(|e| panic!("{file}: audit failed: {e}"));
-        let baseline = run_flow_on_design(&design, &FlowConfig::multiphase(4))
+        let baseline = run_flow(&design.aig, &FlowConfig::multiphase(4))
             .unwrap_or_else(|e| panic!("{file}: 4φ flow failed: {e}"));
         assert!(
             res.report.area <= baseline.report.area,

@@ -25,11 +25,11 @@
 use sfq_circuits::{Benchmark, ExtBenchmark};
 use sfq_core::report::StageReport;
 use sfq_core::{run_flow, FlowConfig, FlowResult, Limits, PhaseEngine};
-use sfq_netlist::design::{Design, DesignError};
-use sfq_netlist::{aiger, blif, export, map_aig, Aig, Library};
+use sfq_netlist::design::{Design, DesignError, DesignFormat};
+use sfq_netlist::{aiger, export, map_aig, Aig, Library};
 use sfq_server::{
-    run_jobs_streamed, run_verify_jobs_streamed, table_header, verify_table_header, DesignSource,
-    FlowOptions as DaemonFlowOptions, FlowRequest, JobEntry, JobRow, VerifyOptions,
+    run_jobs_streamed, DesignSource, FlowOptions as DaemonFlowOptions, FlowRequest, JobEntry,
+    JobKind, JobRow, VerifyOptions,
 };
 use sfq_sim::energy::{measure_energy, EnergyModel};
 use sfq_sim::margin::{analyze_margins, MarginConfig};
@@ -37,7 +37,6 @@ use sfq_sim::{check_against_aig, vcd, EquivConfig, PulseSim};
 use std::fmt;
 use std::io::Write;
 use std::path::Path;
-use std::time::Duration;
 
 mod args;
 
@@ -213,31 +212,33 @@ fn io_err(path: &str) -> impl Fn(std::io::Error) -> CliError + '_ {
     }
 }
 
-/// Reads an `.aag` or `.blif` file into an [`Aig`].
-///
-/// # Errors
-/// [`CliError`] when the file cannot be read, has an unknown extension, or
-/// fails to parse.
-pub fn read_input(path: &str) -> Result<Aig, CliError> {
-    let ext = Path::new(path).extension().and_then(|e| e.to_str());
-    if !matches!(ext, Some("aag") | Some("blif")) {
-        return Err(CliError::Usage(format!(
+/// The usage error for an input whose extension is not `.aag`/`.blif` (in
+/// any case): the one extension test of the ingestion layer, shared with
+/// `--batch` and the daemon.
+fn check_input_format(path: &str) -> Result<(), CliError> {
+    match DesignFormat::from_extension(Path::new(path)) {
+        Some(_) => Ok(()),
+        None => Err(CliError::Usage(format!(
             "{path}: unknown input format (expected .aag or .blif)"
-        )));
-    }
-    let text = std::fs::read_to_string(path).map_err(io_err(path))?;
-    let stem = Path::new(path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("design");
-    match ext {
-        Some("aag") => aiger::read_aag(text.as_bytes(), stem)
-            .map_err(|e| CliError::Input(format!("{path}: {e}"))),
-        _ => blif::parse_blif(&text).map_err(|e| CliError::Input(format!("{path}: {e}"))),
+        ))),
     }
 }
 
-/// Shared flow options of the `flow`, `energy` and `margin` subcommands.
+/// Reads an `.aag` or `.blif` file into an [`Aig`] through the ingestion
+/// layer ([`Design::read`]).
+fn read_design(path: &str) -> Result<Aig, CliError> {
+    check_input_format(path)?;
+    match Design::read(Path::new(path)) {
+        Ok(design) => Ok(design.aig),
+        Err(DesignError::Io { path, source }) => Err(CliError::Io { path, source }),
+        // The parser's own message, without the format tag batch rows carry.
+        Err(DesignError::Aiger(e)) => Err(CliError::Input(format!("{path}: {e}"))),
+        Err(DesignError::Blif(e)) => Err(CliError::Input(format!("{path}: {e}"))),
+        Err(e) => Err(CliError::Input(format!("{path}: {e}"))),
+    }
+}
+
+/// The flow options every flow-running subcommand shares.
 fn flow_config(a: &Args) -> Result<FlowConfig, CliError> {
     let phases: u8 = a.parsed_option("phases", 4)?;
     if phases == 0 {
@@ -260,6 +261,22 @@ fn flow_config(a: &Args) -> Result<FlowConfig, CliError> {
         }
     };
     Ok(config)
+}
+
+/// [`flow_config`] for `verify` and `margin`: the T1 flow on 4 phases when
+/// neither `--t1` nor `--phases` is given — both analyses are most
+/// interesting on the netlists that commit T1 cells. `--engine` and
+/// `--gain-threshold` apply either way.
+fn t1_default_config(a: &Args) -> Result<FlowConfig, CliError> {
+    let config = flow_config(a)?;
+    if a.flag("t1") || a.option("phases").is_some() {
+        return Ok(config);
+    }
+    Ok(FlowConfig {
+        engine: config.engine,
+        gain_threshold: config.gain_threshold,
+        ..FlowConfig::t1(4)
+    })
 }
 
 /// Applies `--workers N`: a per-invocation override of the worker-thread
@@ -289,29 +306,81 @@ fn apply_workers_override(a: &Args, cmd: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Maps the parsed flow options onto the daemon's wire-level options
-/// (`--deadline-ms`/`--max-nodes` forward per request; `verify` selects
-/// the daemon's verification mode).
-fn daemon_options(
-    a: &Args,
+/// The batch, daemon and single-design dispatch `flow` and `verify` share.
+///
+/// `--batch <dir>` runs every design of a directory, locally or through
+/// `--daemon <socket>`, and `--daemon` alone serves the one input inline;
+/// those print `kind`'s rows and return `None`. Otherwise the options are
+/// checked for a single local run and the input's path is returned, for
+/// the command to run and render itself. The job options — flow config,
+/// `kind` and the `--deadline-ms`/`--max-nodes` limits — are parsed once
+/// into the daemon's wire options, whatever runs the jobs.
+fn dispatch_jobs<'a>(
+    a: &'a Args,
+    cmd: &str,
     config: &FlowConfig,
-    verify: bool,
-) -> Result<DaemonFlowOptions, CliError> {
-    Ok(DaemonFlowOptions {
+    kind: &JobKind,
+    out: &mut dyn Write,
+) -> Result<Option<&'a str>, CliError> {
+    let usage = |m: &str| CliError::Usage(format!("{cmd}: {m}"));
+    apply_workers_override(a, cmd)?;
+    let (batch, sock) = (a.option("batch"), a.option("daemon"));
+    let fail_fast = a.flag("fail-fast");
+    let input = || a.positional(0).ok_or_else(|| usage("missing <input> file"));
+    if batch.is_none() && (a.flag("keep-going") || fail_fast) {
+        return Err(usage("--keep-going/--fail-fast only apply to --batch"));
+    }
+    if batch.is_none()
+        && sock.is_none()
+        && (a.option("deadline-ms").is_some() || a.option("max-nodes").is_some())
+    {
+        return Err(usage("--deadline-ms/--max-nodes only apply to --batch"));
+    }
+    if batch.is_some() {
+        if a.positional(0).is_some() {
+            return Err(usage("--batch <dir> takes no positional input"));
+        }
+        if a.flag("keep-going") && fail_fast {
+            return Err(usage("--keep-going and --fail-fast are mutually exclusive"));
+        }
+        if sock.is_some() && fail_fast {
+            return Err(usage(
+                "--fail-fast does not combine with --daemon (the daemon keeps going)",
+            ));
+        }
+    }
+    let options = DaemonFlowOptions {
         phases: config.phases,
         use_t1: config.use_t1,
         engine: config.engine,
         gain_threshold: config.gain_threshold,
-        verify,
-        deadline_ms: match a.option("deadline-ms") {
-            Some(_) => Some(a.parsed_option("deadline-ms", 0)?),
-            None => None,
-        },
-        max_nodes: match a.option("max-nodes") {
-            Some(_) => Some(a.parsed_option("max-nodes", 0)?),
-            None => None,
-        },
-    })
+        verify: matches!(kind, JobKind::Verify(_)),
+        deadline_ms: a
+            .option("deadline-ms")
+            .map(|_| a.parsed_option("deadline-ms", 0))
+            .transpose()?,
+        max_nodes: a
+            .option("max-nodes")
+            .map(|_| a.parsed_option("max-nodes", 0))
+            .transpose()?,
+    };
+    let (sock, designs) = match (batch, sock) {
+        (None, None) => return input().map(Some),
+        (Some(dir), None) => {
+            cmd_batch(dir, config, kind, &options.limits(), fail_fast, out)?;
+            return Ok(None);
+        }
+        (Some(dir), Some(sock)) => {
+            let designs = daemon_batch_sources(dir)?;
+            writeln!(out, "daemon batch: {} designs via {sock}", designs.len())
+                .map_err(io_err("<stdout>"))?;
+            (sock, designs)
+        }
+        (None, Some(sock)) => (sock, vec![inline_source(input()?)?]),
+    };
+    writeln!(out, "{}", kind.header()).map_err(io_err("<stdout>"))?;
+    stream_daemon_flow(sock, FlowRequest { options, designs }, out)?;
+    Ok(None)
 }
 
 fn run_configured_flow(aig: &Aig, config: &FlowConfig) -> Result<FlowResult, CliError> {
@@ -365,83 +434,22 @@ fn cmd_flow(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ],
         &["t1", "stats", "keep-going", "fail-fast"],
     )?;
-    apply_workers_override(&a, "flow")?;
-    if let Some(dir) = a.option("batch") {
-        if a.positional(0).is_some() {
-            return Err(CliError::Usage(
-                "flow: --batch <dir> takes no positional input".into(),
-            ));
+    let per_design = ["blif", "dot", "vcd", "verilog", "waves"]
+        .iter()
+        .any(|t| a.option(t).is_some())
+        || a.flag("stats");
+    for mode in ["batch", "daemon"] {
+        if per_design && a.option(mode).is_some() {
+            return Err(CliError::Usage(format!(
+                "flow: per-design artifact/report options do not combine with --{mode}"
+            )));
         }
-        if ["blif", "dot", "vcd", "verilog", "waves"]
-            .iter()
-            .any(|t| a.option(t).is_some())
-            || a.flag("stats")
-        {
-            return Err(CliError::Usage(
-                "flow: per-design artifact/report options do not combine with --batch".into(),
-            ));
-        }
-        if a.flag("keep-going") && a.flag("fail-fast") {
-            return Err(CliError::Usage(
-                "flow: --keep-going and --fail-fast are mutually exclusive".into(),
-            ));
-        }
-        let config = flow_config(&a)?;
-        if let Some(sock) = a.option("daemon") {
-            if a.flag("fail-fast") {
-                return Err(CliError::Usage(
-                    "flow: --fail-fast does not combine with --daemon (the daemon keeps going)"
-                        .into(),
-                ));
-            }
-            return cmd_flow_batch_daemon(dir, sock, daemon_options(&a, &config, false)?, out);
-        }
-        let opts = BatchOptions {
-            fail_fast: a.flag("fail-fast"),
-            limits: Limits {
-                deadline: match a.option("deadline-ms") {
-                    Some(_) => Some(Duration::from_millis(a.parsed_option("deadline-ms", 0)?)),
-                    None => None,
-                },
-                max_nodes: match a.option("max-nodes") {
-                    Some(_) => Some(a.parsed_option("max-nodes", 0)?),
-                    None => None,
-                },
-            },
-        };
-        return cmd_flow_batch(dir, &config, &opts, out);
     }
-    if a.flag("keep-going") || a.flag("fail-fast") {
-        return Err(CliError::Usage(
-            "flow: --keep-going/--fail-fast only apply to --batch".into(),
-        ));
-    }
-    if let Some(sock) = a.option("daemon") {
-        if ["blif", "dot", "vcd", "verilog", "waves"]
-            .iter()
-            .any(|t| a.option(t).is_some())
-            || a.flag("stats")
-        {
-            return Err(CliError::Usage(
-                "flow: per-design artifact/report options do not combine with --daemon".into(),
-            ));
-        }
-        let path = a
-            .positional(0)
-            .ok_or_else(|| CliError::Usage("flow: missing <input> file".into()))?;
-        let config = flow_config(&a)?;
-        return cmd_flow_single_daemon(path, sock, daemon_options(&a, &config, false)?, out);
-    }
-    if a.option("deadline-ms").is_some() || a.option("max-nodes").is_some() {
-        return Err(CliError::Usage(
-            "flow: --deadline-ms/--max-nodes only apply to --batch".into(),
-        ));
-    }
-    let path = a
-        .positional(0)
-        .ok_or_else(|| CliError::Usage("flow: missing <input> file".into()))?;
     let config = flow_config(&a)?; // validate options before touching files
-    let aig = read_input(path)?;
+    let Some(path) = dispatch_jobs(&a, "flow", &config, &JobKind::Flow, out)? else {
+        return Ok(());
+    };
+    let aig = read_design(path)?;
     let res = run_configured_flow(&aig, &config)?;
     write_report(out, &res)?;
     if a.flag("stats") {
@@ -472,43 +480,23 @@ fn cmd_flow(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One ingested batch entry: file name plus the parse result (ingest
-/// failures become `FAILED` rows instead of aborting the batch).
-type BatchEntry = (String, Result<Design, DesignError>);
-
-/// Batch-only options of `sfqt1 flow --batch`.
-struct BatchOptions {
-    /// Stop printing/processing at the first failed row (`--fail-fast`)
-    /// instead of degrading gracefully (`--keep-going`, the default).
-    fail_fast: bool,
-    /// Per-design supervision limits (`--deadline-ms`, `--max-nodes`).
-    limits: Limits,
-}
-
-/// Ingests a batch directory through the shared fault-tolerant
-/// [`design::load_dir_results`](sfq_netlist::design::load_dir_results)
-/// path: only a missing/unlistable directory (or one with no design files
-/// at all) is an error here — unparseable files become per-design entries.
-fn load_batch_designs(dir: &str) -> Result<(Vec<BatchEntry>, usize), CliError> {
-    let (entries, cache_hits) =
-        sfq_netlist::design::load_dir_results(Path::new(dir)).map_err(|e| match e {
-            DesignError::Io { path, source } => CliError::Io { path, source },
-            other => CliError::Input(other.to_string()),
-        })?;
-    if entries.is_empty() {
-        return Err(CliError::Usage(format!(
-            "flow: no .aag/.blif designs in `{dir}`"
-        )));
+/// Maps a directory-listing failure onto the CLI's error type.
+fn dir_err(e: DesignError) -> CliError {
+    match e {
+        DesignError::Io { path, source } => CliError::Io { path, source },
+        other => CliError::Input(other.to_string()),
     }
-    Ok((entries, cache_hits))
 }
 
-/// `sfqt1 flow --batch <dir>`: the full flow on every design of a
-/// directory, one report row per design, with graceful degradation.
+/// `sfqt1 flow|verify --batch <dir>`: every design of a directory as one
+/// `kind` row each, with graceful degradation.
 ///
-/// The batch runs on the shared streaming job engine
-/// ([`sfq_server::jobs`]): designs are ingested sequentially (through the
-/// parse cache), the supervised flows fan over
+/// Designs are ingested sequentially through the shared fault-tolerant
+/// [`design::load_dir_results`](sfq_netlist::design::load_dir_results)
+/// path (only a missing/unlistable directory, or one with no design files
+/// at all, is an error here — unparseable files become `FAILED` rows). The
+/// batch then runs on the shared streaming job engine
+/// ([`sfq_server::jobs`]): the supervised jobs fan over
 /// [`par::workers`](sfq_netlist::par::workers) scoped threads, and each row
 /// **prints as soon as it is unblocked, in input order** — the first rows of
 /// a long batch appear while later designs still run, and the table stays
@@ -516,40 +504,28 @@ fn load_batch_designs(dir: &str) -> Result<(Vec<BatchEntry>, usize), CliError> {
 /// strings).
 ///
 /// Containment policy (owned by the engine): a design that fails —
-/// unparseable, flow error, panic, deadline or node-budget abort — renders
-/// as a `FAILED(<reason>)` row. A panicked design is not retried: a design
-/// runs on one thread, so a rerun would panic identically. Under
-/// `--keep-going` (default) every design runs; `--fail-fast` stops the
-/// output at the first failed row. Either way the run ends with a `batch
-/// summary:` line, and any failure surfaces as [`CliError::Partial`] (exit
-/// code 2).
-fn cmd_flow_batch(
+/// unparseable, flow or verification error, panic, deadline or node-budget
+/// abort — renders as a `FAILED(<reason>)` row. A panicked design is not
+/// retried: a design runs on one thread, so a rerun would panic
+/// identically. Without `fail_fast` (`--keep-going`, the default) every
+/// design runs; `--fail-fast` stops the output at the first failed row.
+/// Either way the run ends with a `batch summary:` line, and any failure
+/// surfaces as [`CliError::Partial`] (exit code 2).
+fn cmd_batch(
     dir: &str,
     config: &FlowConfig,
-    opts: &BatchOptions,
+    kind: &JobKind,
+    limits: &Limits,
+    fail_fast: bool,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    print_batch(dir, &table_header(), opts, out, |jobs, tx| {
-        run_jobs_streamed(jobs, config, &opts.limits, |row| {
-            // A dropped receiver (fail-fast caller gone) is harmless:
-            // remaining rows are computed and discarded.
-            let _ = tx.send(row);
-        });
-    })
-}
-
-/// The body both batch commands share: loads `dir`, prints the preamble and
-/// `header`, runs the job engine (`run`, which sends each finished row to
-/// the channel) on a scoped thread, and prints every row as it arrives, in
-/// input order. Enforces `--fail-fast` and the summary/exit-code contract.
-fn print_batch(
-    dir: &str,
-    header: &str,
-    opts: &BatchOptions,
-    out: &mut dyn Write,
-    run: impl FnOnce(&[JobEntry], std::sync::mpsc::Sender<JobRow>) + Send,
-) -> Result<(), CliError> {
-    let (entries, cache_hits) = load_batch_designs(dir)?;
+    let (entries, cache_hits) =
+        sfq_netlist::design::load_dir_results(Path::new(dir)).map_err(dir_err)?;
+    if entries.is_empty() {
+        return Err(CliError::Usage(format!(
+            "flow: no .aag/.blif designs in `{dir}`"
+        )));
+    }
     writeln!(
         out,
         "batch: {} designs ({} parsed, {} cache hits)",
@@ -558,7 +534,7 @@ fn print_batch(
         cache_hits
     )
     .map_err(io_err("<stdout>"))?;
-    writeln!(out, "{header}").map_err(io_err("<stdout>"))?;
+    writeln!(out, "{}", kind.header()).map_err(io_err("<stdout>"))?;
     let jobs: Vec<JobEntry> = entries
         .into_iter()
         .map(|(name, design)| JobEntry {
@@ -574,7 +550,13 @@ fn print_batch(
     let mut stopped = false;
     let mut write_err: Option<std::io::Error> = None;
     std::thread::scope(|scope| {
-        let engine = sfq_netlist::sync::spawn_scoped(scope, || run(&jobs, tx));
+        let engine = sfq_netlist::sync::spawn_scoped(scope, move || {
+            run_jobs_streamed(&jobs, config, kind, limits, |row| {
+                // A dropped receiver (fail-fast caller gone) is harmless:
+                // remaining rows are computed and discarded.
+                let _ = tx.send(row);
+            });
+        });
         for row in rx {
             if stopped || write_err.is_some() {
                 continue; // keep draining; the jobs ran either way
@@ -587,7 +569,7 @@ fn print_batch(
                 ok += 1;
             } else {
                 failed += 1;
-                if opts.fail_fast {
+                if fail_fast {
                     if let Err(e) = writeln!(out, "batch: stopping at first failure (--fail-fast)")
                     {
                         write_err = Some(e);
@@ -613,26 +595,17 @@ fn print_batch(
     Ok(())
 }
 
-/// `sfqt1 flow --batch <dir> --daemon <socket>`: the same batch, served by
-/// a running `sfqt1d`. Designs are submitted **by path** (daemon and client
-/// share a filesystem), rows stream back in input order and print as they
-/// arrive, and the summary/exit-code contract matches the local batch.
-fn cmd_flow_batch_daemon(
-    dir: &str,
-    sock: &str,
-    options: DaemonFlowOptions,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let paths = sfq_netlist::design::list_dir(Path::new(dir)).map_err(|e| match e {
-        DesignError::Io { path, source } => CliError::Io { path, source },
-        other => CliError::Input(other.to_string()),
-    })?;
+/// The designs of `--batch <dir> --daemon`, submitted **by path** (daemon
+/// and client share a filesystem), absolute so the daemon's working
+/// directory does not matter.
+fn daemon_batch_sources(dir: &str) -> Result<Vec<DesignSource>, CliError> {
+    let paths = sfq_netlist::design::list_dir(Path::new(dir)).map_err(dir_err)?;
     if paths.is_empty() {
         return Err(CliError::Usage(format!(
             "flow: no .aag/.blif designs in `{dir}`"
         )));
     }
-    let designs: Vec<DesignSource> = paths
+    Ok(paths
         .iter()
         .map(|p| {
             let name = p
@@ -640,57 +613,23 @@ fn cmd_flow_batch_daemon(
                 .and_then(|n| n.to_str())
                 .unwrap_or("design")
                 .to_string();
-            // The daemon may run in a different working directory: hand it
-            // an absolute path.
             let path = p.canonicalize().unwrap_or_else(|_| p.clone());
             DesignSource::Path { name, path }
         })
-        .collect();
-    writeln!(out, "daemon batch: {} designs via {sock}", designs.len())
-        .map_err(io_err("<stdout>"))?;
-    let header = if options.verify {
-        verify_table_header()
-    } else {
-        table_header()
-    };
-    writeln!(out, "{header}").map_err(io_err("<stdout>"))?;
-    stream_daemon_flow(sock, FlowRequest { options, designs }, out)
+        .collect())
 }
 
-/// `sfqt1 flow <input> --daemon <socket>`: submit one design **inline**
-/// (the daemon never touches the client's file) and print its table row.
-fn cmd_flow_single_daemon(
-    path: &str,
-    sock: &str,
-    options: DaemonFlowOptions,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let ext = Path::new(path)
-        .extension()
-        .and_then(|e| e.to_str())
-        .map(|e| e.to_ascii_lowercase());
-    if !matches!(ext.as_deref(), Some("aag") | Some("blif")) {
-        return Err(CliError::Usage(format!(
-            "{path}: unknown input format (expected .aag or .blif)"
-        )));
-    }
+/// The one design of `<input> --daemon`, submitted **inline** (the daemon
+/// never touches the client's file).
+fn inline_source(path: &str) -> Result<DesignSource, CliError> {
+    check_input_format(path)?;
     let content = std::fs::read_to_string(path).map_err(io_err(path))?;
     let name = Path::new(path)
         .file_name()
         .and_then(|n| n.to_str())
         .unwrap_or("design")
         .to_string();
-    let header = if options.verify {
-        verify_table_header()
-    } else {
-        table_header()
-    };
-    writeln!(out, "{header}").map_err(io_err("<stdout>"))?;
-    let request = FlowRequest {
-        options,
-        designs: vec![DesignSource::Inline { name, content }],
-    };
-    stream_daemon_flow(sock, request, out)
+    Ok(DesignSource::Inline { name, content })
 }
 
 /// Runs one daemon `FLOW` request, printing rows as they stream in, then
@@ -720,20 +659,6 @@ fn stream_daemon_flow(
         return Err(CliError::Partial { ok, failed });
     }
     Ok(())
-}
-
-/// The verify flow configuration: like [`flow_config`], but defaulting to
-/// the T1 flow on 4 phases when neither `--t1` nor `--phases` is given —
-/// verification is most interesting on the netlists that commit T1 cells.
-fn verify_flow_config(a: &Args) -> Result<FlowConfig, CliError> {
-    let mut config = flow_config(a)?;
-    if !a.flag("t1") && a.option("phases").is_none() {
-        let mut t1 = FlowConfig::t1(4);
-        t1.engine = config.engine;
-        t1.gain_threshold = config.gain_threshold;
-        config = t1;
-    }
-    Ok(config)
 }
 
 /// Sweep/margin knobs of `sfqt1 verify` (`--waves`/`--seed` steer the
@@ -780,82 +705,21 @@ fn cmd_verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ],
         &["t1", "keep-going", "fail-fast"],
     )?;
-    apply_workers_override(&a, "verify")?;
     let sweep_knobs = ["waves", "seed", "jitter", "period", "trials"];
-    if let Some(dir) = a.option("batch") {
-        if a.positional(0).is_some() {
-            return Err(CliError::Usage(
-                "verify: --batch <dir> takes no positional input".into(),
-            ));
-        }
-        if a.flag("keep-going") && a.flag("fail-fast") {
-            return Err(CliError::Usage(
-                "verify: --keep-going and --fail-fast are mutually exclusive".into(),
-            ));
-        }
-        let config = verify_flow_config(&a)?;
-        if let Some(sock) = a.option("daemon") {
-            if a.flag("fail-fast") {
-                return Err(CliError::Usage(
-                    "verify: --fail-fast does not combine with --daemon (the daemon keeps going)"
-                        .into(),
-                ));
-            }
-            if sweep_knobs.iter().any(|t| a.option(t).is_some()) {
-                return Err(CliError::Usage(
-                    "verify: the daemon runs the default sweep settings (drop --waves/--seed/\
-                     --jitter/--period/--trials, or verify locally)"
-                        .into(),
-                ));
-            }
-            return cmd_flow_batch_daemon(dir, sock, daemon_options(&a, &config, true)?, out);
-        }
-        let vopts = verify_options(&a)?;
-        let opts = BatchOptions {
-            fail_fast: a.flag("fail-fast"),
-            limits: Limits {
-                deadline: match a.option("deadline-ms") {
-                    Some(_) => Some(Duration::from_millis(a.parsed_option("deadline-ms", 0)?)),
-                    None => None,
-                },
-                max_nodes: match a.option("max-nodes") {
-                    Some(_) => Some(a.parsed_option("max-nodes", 0)?),
-                    None => None,
-                },
-            },
-        };
-        return cmd_verify_batch(dir, &config, &vopts, &opts, out);
-    }
-    if a.flag("keep-going") || a.flag("fail-fast") {
+    if a.option("daemon").is_some() && sweep_knobs.iter().any(|t| a.option(t).is_some()) {
         return Err(CliError::Usage(
-            "verify: --keep-going/--fail-fast only apply to --batch".into(),
+            "verify: the daemon runs the default sweep settings (drop --waves/--seed/\
+             --jitter/--period/--trials, or verify locally)"
+                .into(),
         ));
     }
-    if let Some(sock) = a.option("daemon") {
-        if sweep_knobs.iter().any(|t| a.option(t).is_some()) {
-            return Err(CliError::Usage(
-                "verify: the daemon runs the default sweep settings (drop --waves/--seed/\
-                 --jitter/--period/--trials, or verify locally)"
-                    .into(),
-            ));
-        }
-        let path = a
-            .positional(0)
-            .ok_or_else(|| CliError::Usage("verify: missing <input> file".into()))?;
-        let config = verify_flow_config(&a)?;
-        return cmd_flow_single_daemon(path, sock, daemon_options(&a, &config, true)?, out);
-    }
-    if a.option("deadline-ms").is_some() || a.option("max-nodes").is_some() {
-        return Err(CliError::Usage(
-            "verify: --deadline-ms/--max-nodes only apply to --batch".into(),
-        ));
-    }
-    let path = a
-        .positional(0)
-        .ok_or_else(|| CliError::Usage("verify: missing <input> file".into()))?;
-    let config = verify_flow_config(&a)?; // validate options before touching files
+    let config = t1_default_config(&a)?; // validate options before touching files
     let vopts = verify_options(&a)?;
-    let aig = read_input(path)?;
+    let kind = JobKind::Verify(vopts.clone());
+    let Some(path) = dispatch_jobs(&a, "verify", &config, &kind, out)? else {
+        return Ok(());
+    };
+    let aig = read_design(path)?;
     let res = run_configured_flow(&aig, &config)?;
     writeln!(out, "design            {}", res.report.name).map_err(io_err("<stdout>"))?;
     match check_against_aig(&aig, &res.timed, &vopts.equiv) {
@@ -877,24 +741,6 @@ fn cmd_verify(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             Ok(())
         }
     }
-}
-
-/// `sfqt1 verify --batch <dir>`: pulse-level verification of every design
-/// of a directory on the shared streaming job engine — same ingest, same
-/// containment, same summary/exit-code contract as [`cmd_flow_batch`],
-/// with verification rows ([`verify_table_header`]) instead of flow rows.
-fn cmd_verify_batch(
-    dir: &str,
-    config: &FlowConfig,
-    vopts: &VerifyOptions,
-    opts: &BatchOptions,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    print_batch(dir, &verify_table_header(), opts, out, |jobs, tx| {
-        run_verify_jobs_streamed(jobs, config, &opts.limits, vopts, |row| {
-            let _ = tx.send(row);
-        });
-    })
 }
 
 /// `sfqt1 daemon <ping|stats|stop> <socket>`: control-plane requests
@@ -1001,7 +847,7 @@ fn cmd_energy(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .positional(0)
         .ok_or_else(|| CliError::Usage("energy: missing <input> file".into()))?;
     let config = flow_config(&a)?; // validate options before touching files
-    let aig = read_input(path)?;
+    let aig = read_design(path)?;
     let res = run_configured_flow(&aig, &config)?;
 
     let waves = random_waves(aig.num_inputs(), a.parsed_option("waves", 32usize)?);
@@ -1042,12 +888,8 @@ fn cmd_margin(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let path = a
         .positional(0)
         .ok_or_else(|| CliError::Usage("margin: missing <input> file".into()))?;
-    // Margin analysis is about T1 cells; default the flow to --t1.
-    let mut config = flow_config(&a)?; // validate options before touching files
-    if !a.flag("t1") && a.option("phases").is_none() {
-        config = FlowConfig::t1(4);
-    }
-    let aig = read_input(path)?;
+    let config = t1_default_config(&a)?; // validate options before touching files
+    let aig = read_design(path)?;
     let res = run_configured_flow(&aig, &config)?;
 
     let defaults = MarginConfig::default();
@@ -1083,7 +925,7 @@ fn cmd_convert(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "convert: give at least one of --aag, --blif, --dot, --verilog".into(),
         ));
     }
-    let aig = read_input(path)?;
+    let aig = read_design(path)?;
     if let Some(p) = a.option("aag") {
         let mut buf = Vec::new();
         aiger::write_aag(&aig, &mut buf).map_err(io_err(p))?;
@@ -1122,7 +964,7 @@ fn cmd_table(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "table: --phases must be ≥ 4 (T1 cells need four phases)".into(),
         ));
     }
-    let aig = read_input(path)?;
+    let aig = read_design(path)?;
 
     let mut base = flow_config(&a)?;
     base.phases = phases;
@@ -1311,6 +1153,59 @@ mod tests {
         assert!(text.contains("hazard rate"), "{text}");
         assert!(text.contains("t1 cells"), "{text}");
         std::fs::remove_file(aag).ok();
+    }
+
+    fn corpus_design(file: &str) -> String {
+        format!("{}/../bench/corpus/{file}", env!("CARGO_MANIFEST_DIR"))
+    }
+
+    #[test]
+    fn margin_and_verify_keep_the_gain_threshold_on_their_t1_default() {
+        let adder = corpus_design("adder8.aag");
+        // The default T1 flow commits cells on adder8; a threshold no
+        // candidate reaches commits none, with or without --t1.
+        let text = run_to_string(&["margin", &adder]).expect("margin");
+        assert!(!text.contains("t1 cells          0\n"), "{text}");
+        for cmd in ["margin", "verify"] {
+            let text = run_to_string(&[cmd, &adder, "--gain-threshold", "1000000"])
+                .unwrap_or_else(|e| panic!("{cmd}: {e}"));
+            assert!(text.contains("t1 cells          0\n"), "{cmd}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn single_file_commands_accept_uppercase_extensions() {
+        let adder = corpus_design("adder8.aag");
+        let upper = scratch("ADDER8.AAG");
+        std::fs::copy(&adder, &upper).expect("copy adder8");
+        let upper_s = upper.to_str().expect("utf8 path");
+        let original = run_to_string(&["flow", &adder, "--t1"]).expect("flow");
+        let copied = run_to_string(&["flow", upper_s, "--t1"]).expect("flow on ADDER8.AAG");
+        assert_eq!(original, copied);
+        let converted = scratch("ADDER8-converted.aag");
+        for args in [
+            vec!["verify", upper_s, "--trials", "50"],
+            vec!["energy", upper_s, "--t1", "--waves", "4"],
+            vec!["margin", upper_s, "--trials", "50"],
+            vec!["table", upper_s],
+            vec![
+                "convert",
+                upper_s,
+                "--aag",
+                converted.to_str().expect("utf8"),
+            ],
+        ] {
+            run_to_string(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+        }
+        // Unknown extensions stay a usage error with the same message.
+        match run_to_string(&["flow", "x.txt"]) {
+            Err(CliError::Usage(m)) => {
+                assert_eq!(m, "x.txt: unknown input format (expected .aag or .blif)")
+            }
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+        std::fs::remove_file(upper).ok();
+        std::fs::remove_file(converted).ok();
     }
 
     #[test]

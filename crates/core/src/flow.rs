@@ -22,7 +22,7 @@ use crate::detect::detect_t1_with_threshold;
 use crate::engine::TimingEngine;
 use crate::phase::{PhaseEngine, PhaseError};
 use crate::timed::{TimedNetwork, TimingError};
-use sfq_netlist::{map_aig, Aig, CutConfig, Design, Library, Network};
+use sfq_netlist::{map_aig, Aig, CutConfig, Library, Network};
 
 /// Configuration of one synthesis flow.
 #[derive(Debug, Clone)]
@@ -188,16 +188,6 @@ pub fn run_flow(aig: &Aig, config: &FlowConfig) -> Result<FlowResult, FlowError>
     let clean = validated_clean(&mapped)?;
     drop(mapped);
     run_flow_on_clean(clean, config)
-}
-
-/// Runs a flow on an externally ingested [`Design`] (AIGER or BLIF file
-/// loaded through `sfq_netlist::design`) — the entry point of the batched
-/// external-benchmark drivers.
-///
-/// # Errors
-/// See [`FlowError`].
-pub fn run_flow_on_design(design: &Design, config: &FlowConfig) -> Result<FlowResult, FlowError> {
-    run_flow(&design.aig, config)
 }
 
 /// Runs a flow starting from an already-mapped network.

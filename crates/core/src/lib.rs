@@ -62,13 +62,8 @@ pub use detect::{detect_t1, detect_t1_with_threshold, T1Detection, T1Group};
 pub use detect_reference::{detect_t1_reference, detect_t1_with_threshold_reference};
 pub use dff::{insert_dffs, insert_dffs_reference};
 pub use engine::TimingEngine;
-pub use flow::{
-    run_flow, run_flow_on_design, run_flow_on_network, FlowConfig, FlowError, FlowReport,
-    FlowResult,
-};
-pub use supervise::{
-    run_flow_supervised, supervise, supervise_task, FlowOutcome, Limits, TaskOutcome,
-};
+pub use flow::{run_flow, run_flow_on_network, FlowConfig, FlowError, FlowReport, FlowResult};
+pub use supervise::{supervise, FlowOutcome, Limits, TaskOutcome};
 
 pub use phase::{
     arrival_cost, assign_phases, assign_phases_reference, assign_phases_with_restarts,

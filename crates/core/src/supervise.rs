@@ -1,20 +1,22 @@
-//! Fault-tolerant flow supervision: run one flow inside a bounded,
-//! observable, recoverable envelope.
+//! Fault-tolerant supervision: run one task inside a bounded, observable,
+//! recoverable envelope.
 //!
-//! This is the containment layer batch drivers (and the future `sfqt1d`
-//! daemon) put between themselves and [`run_flow_on_design`]: one broken or
-//! runaway design must never take down the whole run. A supervised flow
+//! This is the containment layer batch drivers and the `sfqt1d` daemon put
+//! between themselves and each design's work (a [`run_flow`], or a flow
+//! followed by pulse-level verification): one broken or runaway design must
+//! never take down the whole run. [`supervise`]:
 //!
 //! 1. installs a cooperative **budget** ([`sfq_netlist::budget`]) for the
 //!    requested [`Limits`] — a wall-clock deadline and/or a node-count
 //!    ceiling, checked at cheap intervals inside cut enumeration, the
 //!    detection scoring loop and the phase descent, and at every flow stage
 //!    boundary;
-//! 2. runs the flow under `catch_unwind`, so a panic (a flow bug, or an
+//! 2. runs the task under `catch_unwind`, so a panic (a flow bug, or an
 //!    injected fault) is captured with its message instead of propagating;
-//! 3. classifies the result as a [`FlowOutcome`]: budget unwinds become
-//!    [`FlowOutcome::TimedOut`] / [`FlowOutcome::OverBudget`], other panics
-//!    [`FlowOutcome::Panicked`], and ordinary results map through.
+//! 3. classifies the result as a [`TaskOutcome`]: budget unwinds become
+//!    [`TaskOutcome::TimedOut`] / [`TaskOutcome::OverBudget`], other panics
+//!    [`TaskOutcome::Panicked`], and ordinary results map through. A
+//!    supervised flow's outcome is a [`FlowOutcome`].
 //!
 //! `catch_unwind` requires an [`UnwindSafe`](std::panic::UnwindSafe)
 //! closure; the flow entry points take only shared references and build all
@@ -25,12 +27,14 @@
 //! While a supervised closure runs on this thread, the default "thread
 //! panicked" report is suppressed (the panic is expected and captured);
 //! panics on other threads still report normally.
+//!
+//! [`run_flow`]: crate::flow::run_flow
 
-use crate::flow::{run_flow_on_design, FlowConfig, FlowError, FlowResult};
+use crate::flow::{FlowError, FlowResult};
 use sfq_netlist::budget::{self, BudgetExceeded};
 use sfq_netlist::par::panic_message;
-use sfq_netlist::Design;
 use std::cell::Cell;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 use std::time::Duration;
@@ -52,56 +56,6 @@ impl Limits {
         deadline: None,
         max_nodes: None,
     };
-}
-
-/// What happened to one supervised flow — the typed outcome batch drivers
-/// consume in place of a bare `Result`.
-#[derive(Debug)]
-pub enum FlowOutcome {
-    /// The flow finished and verified.
-    Ok(Box<FlowResult>),
-    /// The flow failed with a typed error (bad input, infeasible phases,
-    /// failed audit…).
-    Failed(FlowError),
-    /// The flow panicked and was contained.
-    Panicked {
-        /// The panic message (payload text, or a placeholder for non-string
-        /// payloads).
-        message: String,
-    },
-    /// The flow exceeded its wall-clock deadline and was aborted.
-    TimedOut,
-    /// The flow exceeded its node-count ceiling and was aborted.
-    OverBudget,
-}
-
-impl FlowOutcome {
-    /// True for [`FlowOutcome::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, FlowOutcome::Ok(_))
-    }
-
-    /// The finished flow, if there is one.
-    pub fn result(&self) -> Option<&FlowResult> {
-        match self {
-            FlowOutcome::Ok(res) => Some(res),
-            _ => None,
-        }
-    }
-
-    /// Deterministic one-line failure reason (`None` for
-    /// [`FlowOutcome::Ok`]). Contains no timings or addresses, so batch
-    /// rows built from it are byte-identical across runs, builds and worker
-    /// counts.
-    pub fn failure(&self) -> Option<String> {
-        match self {
-            FlowOutcome::Ok(_) => None,
-            FlowOutcome::Failed(e) => Some(e.to_string()),
-            FlowOutcome::Panicked { message } => Some(format!("panicked: {message}")),
-            FlowOutcome::TimedOut => Some(BudgetExceeded::Deadline.to_string()),
-            FlowOutcome::OverBudget => Some(BudgetExceeded::Nodes.to_string()),
-        }
-    }
 }
 
 thread_local! {
@@ -144,10 +98,8 @@ impl Drop for SupervisedScope {
     }
 }
 
-/// What happened to one supervised *task* — the type-generic sibling of
-/// [`FlowOutcome`] for work that produces something other than a bare
-/// [`FlowResult`] (e.g. a verification report that bundles a flow with
-/// equivalence sweeps and margin analysis).
+/// What happened to one supervised task — the typed outcome batch drivers
+/// consume in place of a bare `Result`.
 #[derive(Debug)]
 pub enum TaskOutcome<T, E> {
     /// The task finished.
@@ -166,15 +118,45 @@ pub enum TaskOutcome<T, E> {
     OverBudget,
 }
 
-/// Runs any fallible task under the supervision envelope: budget installed
-/// per `limits`, panics contained, outcome classified. The fully generic
-/// entry point — [`supervise`] specializes it to flows, and batch drivers
-/// use it directly for composite jobs (flow + verification).
+/// What happened to one supervised flow.
+pub type FlowOutcome = TaskOutcome<FlowResult, FlowError>;
+
+impl<T, E: fmt::Display> TaskOutcome<T, E> {
+    /// True for [`TaskOutcome::Ok`].
+    pub fn is_ok(&self) -> bool {
+        matches!(self, TaskOutcome::Ok(_))
+    }
+
+    /// The finished task's result, if there is one.
+    pub fn result(&self) -> Option<&T> {
+        match self {
+            TaskOutcome::Ok(res) => Some(res),
+            _ => None,
+        }
+    }
+
+    /// Deterministic one-line failure reason (`None` for
+    /// [`TaskOutcome::Ok`]). Contains no timings or addresses, so batch
+    /// rows built from it are byte-identical across runs, builds and worker
+    /// counts.
+    pub fn failure(&self) -> Option<String> {
+        match self {
+            TaskOutcome::Ok(_) => None,
+            TaskOutcome::Failed(e) => Some(e.to_string()),
+            TaskOutcome::Panicked { message } => Some(format!("panicked: {message}")),
+            TaskOutcome::TimedOut => Some(BudgetExceeded::Deadline.to_string()),
+            TaskOutcome::OverBudget => Some(BudgetExceeded::Nodes.to_string()),
+        }
+    }
+}
+
+/// Runs a fallible task under the supervision envelope: budget installed
+/// per `limits`, panics contained, outcome classified.
 ///
 /// `f` runs on the calling thread (supervision adds isolation, not
 /// concurrency), so budget ticks inside the task's hot loops see the
 /// installed budget.
-pub fn supervise_task<T, E, F>(limits: &Limits, f: F) -> TaskOutcome<T, E>
+pub fn supervise<T, E, F>(limits: &Limits, f: F) -> TaskOutcome<T, E>
 where
     F: FnOnce() -> Result<T, E>,
 {
@@ -198,27 +180,4 @@ where
             },
         },
     }
-}
-
-/// Runs `f` under the supervision envelope: budget installed per `limits`,
-/// panics contained, outcome classified. The flow-shaped entry point —
-/// [`run_flow_supervised`] is the convenience wrapper for designs, and
-/// [`supervise_task`] the generic machinery underneath.
-pub fn supervise<F>(limits: &Limits, f: F) -> FlowOutcome
-where
-    F: FnOnce() -> Result<FlowResult, FlowError>,
-{
-    match supervise_task(limits, f) {
-        TaskOutcome::Ok(result) => FlowOutcome::Ok(result),
-        TaskOutcome::Failed(e) => FlowOutcome::Failed(e),
-        TaskOutcome::Panicked { message } => FlowOutcome::Panicked { message },
-        TaskOutcome::TimedOut => FlowOutcome::TimedOut,
-        TaskOutcome::OverBudget => FlowOutcome::OverBudget,
-    }
-}
-
-/// [`run_flow_on_design`] inside the supervision envelope — the per-design
-/// entry point of `sfqt1 flow --batch` (and the daemon to come).
-pub fn run_flow_supervised(design: &Design, config: &FlowConfig, limits: &Limits) -> FlowOutcome {
-    supervise(limits, || run_flow_on_design(design, config))
 }

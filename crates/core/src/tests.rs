@@ -1052,7 +1052,7 @@ mod supervision {
 
     #[test]
     fn panics_are_contained_with_their_message() {
-        let outcome = supervise(&Limits::NONE, || panic!("exploding flow"));
+        let outcome: FlowOutcome = supervise(&Limits::NONE, || panic!("exploding flow"));
         match &outcome {
             FlowOutcome::Panicked { message } => assert_eq!(message, "exploding flow"),
             other => panic!("expected Panicked, got {other:?}"),

@@ -67,7 +67,7 @@ pub use design::{CacheStats, Design, DesignCache, DesignError, DesignFormat};
 pub use mapper::map_aig;
 pub use mapper_reference::map_aig_reference;
 pub use mffc::{mffc_area, mffc_nodes};
-pub use network::{AreaBreakdown, CellId, Network, NetworkError, RebuildScratch, Signal};
+pub use network::{AreaBreakdown, CellId, Network, NetworkError, Signal};
 
 #[cfg(test)]
 mod tests;

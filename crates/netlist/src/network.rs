@@ -12,11 +12,10 @@
 //! Cell ids are dense (`CellId(i)` indexes the cell vector directly), and
 //! every traversal here exploits that instead of hashing (ISSUE 2):
 //!
-//! * [`Network::cleaned`] runs over a reusable [`RebuildScratch`] — dense
-//!   liveness marks, a dense old-cell → new-cell translation table and one
-//!   staged fanin buffer; [`Network::cleaned_with`] lets callers amortize
-//!   the scratch across many rebuilds. The original allocate-per-cell pass
-//!   survives as [`Network::cleaned_reference`], the executable
+//! * [`Network::cleaned`] runs over dense liveness marks, a dense
+//!   old-cell → new-cell translation table and one staged fanin buffer.
+//!   The original allocate-per-cell pass survives as
+//!   [`Network::cleaned_reference`], the executable
 //!   specification checked by `tests/differential_mapping.rs` (criterion
 //!   gate `cleaned/multiplier12`: 61 µs → 50 µs).
 //! * [`Network::simulate_words`] is the one evaluator: it evaluates each
@@ -194,26 +193,6 @@ impl Cell {
     #[inline]
     fn fanins(&self) -> &[Signal] {
         &self.fanins[..self.num_fanins as usize]
-    }
-}
-
-/// Reusable scratch for [`Network::cleaned_with`] and friends: liveness
-/// marks, the DFS worklist, the dense old-cell → new-cell translation table
-/// and the fanin staging buffer. One scratch serves any number of rebuild
-/// passes over networks of any size (buffers grow to the largest network
-/// seen and stay allocated).
-#[derive(Debug, Default)]
-pub struct RebuildScratch {
-    live: Vec<bool>,
-    stack: Vec<u32>,
-    remap: Vec<Option<CellId>>,
-    fanin_buf: Vec<Signal>,
-}
-
-impl RebuildScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -773,31 +752,12 @@ impl Network {
     /// Removes cells unreachable from the primary outputs; inputs are always
     /// kept. Returns the cleaned network and, for bookkeeping, the number of
     /// removed cells.
-    ///
-    /// Allocates a fresh [`RebuildScratch`]; callers cleaning many networks
-    /// (a flow harness, the differential tests) should hold one scratch and
-    /// call [`Network::cleaned_with`] instead.
     pub fn cleaned(&self) -> (Network, usize) {
-        self.cleaned_with(&mut RebuildScratch::new())
-    }
-
-    /// [`Network::cleaned`] over caller-provided scratch: the liveness marks,
-    /// worklist, translation table and fanin buffer are reused across calls,
-    /// so repeated rebuilds allocate nothing but the output network itself.
-    pub fn cleaned_with(&self, scratch: &mut RebuildScratch) -> (Network, usize) {
         let n = self.cells.len();
-        let RebuildScratch {
-            live,
-            stack,
-            remap,
-            fanin_buf,
-        } = scratch;
-        live.clear();
-        live.resize(n, false);
-        remap.clear();
-        remap.resize(n, None);
-        stack.clear();
-        stack.extend(self.outputs.iter().map(|o| o.cell.0));
+        let mut live = vec![false; n];
+        let mut remap: Vec<Option<CellId>> = vec![None; n];
+        let mut fanin_buf: Vec<Signal> = Vec::new();
+        let mut stack: Vec<u32> = self.outputs.iter().map(|o| o.cell.0).collect();
         while let Some(i) = stack.pop() {
             if live[i as usize] {
                 continue;
@@ -835,8 +795,8 @@ impl Network {
             }));
             let new_id = match cell.kind {
                 CellKind::Input => unreachable!("inputs already mapped"),
-                CellKind::Gate(g) => out.add_gate(g, fanin_buf).cell,
-                CellKind::T1 { used_ports } => out.add_t1(used_ports, fanin_buf),
+                CellKind::Gate(g) => out.add_gate(g, &fanin_buf).cell,
+                CellKind::T1 { used_ports } => out.add_t1(used_ports, &fanin_buf),
                 CellKind::Dff => out.add_dff(fanin_buf[0]).cell,
             };
             remap[i] = Some(new_id);

@@ -26,7 +26,7 @@
 //! handshake is exhaustively schedule-explored by `tests/chk_models.rs`
 //! (see [`crate::sync`]).
 
-use crate::jobs::{run_jobs_streamed, run_verify_jobs_streamed, JobEntry, VerifyOptions};
+use crate::jobs::{run_jobs_streamed, JobEntry};
 use crate::protocol::{read_request, FlowRequest, ProtocolError, Request};
 use crate::queue::WorkQueue;
 use crate::state::ServerState;
@@ -326,34 +326,25 @@ fn handle_flow(request: &FlowRequest, state: &ServerState, writer: &mut (impl Wr
             design: state.ingest(source),
         })
         .collect();
-    let config = request.options.flow_config();
-    let limits = request.options.limits();
+    let options = &request.options;
     // A client that disappears mid-stream turns writes into errors; the
     // remaining jobs still run (their outcomes count in the daemon stats),
     // we just stop transmitting.
     let mut client_alive = true;
-    let mut emit = |row: crate::jobs::JobRow| {
-        state.record(row.kind);
-        if client_alive {
-            let sent =
-                writeln!(writer, "ROW {} {}", row.index, row.line).and_then(|()| writer.flush());
-            client_alive = sent.is_ok();
-        }
-    };
-    // `verify=1` swaps in the verification engine: same streaming, same
-    // ordering, rows in the verify table layout (the daemon always runs
-    // the default sweep/margin settings — the wire carries only the flag).
-    let (ok, failed) = if request.options.verify {
-        run_verify_jobs_streamed(
-            &entries,
-            &config,
-            &limits,
-            &VerifyOptions::default(),
-            &mut emit,
-        )
-    } else {
-        run_jobs_streamed(&entries, &config, &limits, &mut emit)
-    };
+    let (ok, failed) = run_jobs_streamed(
+        &entries,
+        &options.flow_config(),
+        &options.job_kind(),
+        &options.limits(),
+        |row| {
+            state.record(row.kind);
+            if client_alive {
+                let sent = writeln!(writer, "ROW {} {}", row.index, row.line)
+                    .and_then(|()| writer.flush());
+                client_alive = sent.is_ok();
+            }
+        },
+    );
     if client_alive {
         let _ = writeln!(writer, "END ok={ok} failed={failed}");
     }

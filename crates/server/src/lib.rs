@@ -16,9 +16,10 @@
 //!   framing of inline design bytes);
 //! * [`state`] — daemon-lifetime shared state: the design cache and the
 //!   ok/failed/panicked/timed-out counters behind `STATS`;
-//! * [`jobs`] — the streaming job engine shared with `sfqt1 flow --batch`:
-//!   supervised flows fanned over workers, rows emitted in input order as
-//!   they unblock, panicked jobs never retried;
+//! * [`jobs`] — the streaming job engine shared with `sfqt1 flow --batch`
+//!   and `sfqt1 verify --batch`: supervised flow or verify jobs fanned over
+//!   workers, rows emitted in input order as they unblock, panicked jobs
+//!   never retried;
 //! * [`queue`] — the closable connection work queue whose stop/drain
 //!   semantics carry the shutdown contract (model-checked under the `chk`
 //!   feature, see [`sync`]);
@@ -43,10 +44,7 @@ pub mod sync;
 
 pub use client::ClientError;
 pub use daemon::{serve, ServerConfig, ServerError};
-pub use jobs::{
-    run_jobs_streamed, run_verify_jobs_streamed, table_header, verify_table_header, JobEntry,
-    JobRow, VerifyOptions,
-};
+pub use jobs::{run_jobs_streamed, JobEntry, JobKind, JobRow, VerifyOptions};
 pub use protocol::{DesignSource, FlowOptions, FlowRequest, Request, StatsReply};
 pub use queue::WorkQueue;
 pub use state::{OutcomeKind, ServerState};

@@ -46,6 +46,7 @@
 //! designs `0..=k` are all done), terminated by `END`. Every other request
 //! answers with a single line. `ERR` can replace any response.
 
+use crate::jobs::{JobKind, VerifyOptions};
 use sfq_core::{FlowConfig, Limits, PhaseEngine};
 use sfq_netlist::CacheStats;
 use std::fmt;
@@ -137,6 +138,17 @@ impl FlowOptions {
         config.engine = self.engine;
         config.gain_threshold = self.gain_threshold;
         config
+    }
+
+    /// The [`JobKind`] these options ask for: `verify=1` runs pulse-level
+    /// verification with the default sweep and margin settings (the wire
+    /// carries only the flag).
+    pub fn job_kind(&self) -> JobKind {
+        if self.verify {
+            JobKind::Verify(VerifyOptions::default())
+        } else {
+            JobKind::Flow
+        }
     }
 
     /// The per-design supervision [`Limits`] these options describe.
